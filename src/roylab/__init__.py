@@ -56,7 +56,6 @@ from .policy import (
     tax_equilibrium,
 )
 from .abm import (
-    Agent,
     AgentPopulation,
     ConvergenceReport,
     best_response_round,

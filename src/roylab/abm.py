@@ -7,7 +7,8 @@ better off under the sector shares prevailing at that moment, and the
 shares update immediately. Empty-sector conventions: an agent never enters
 a nonempty sector that currently has no members of their own group (the
 minority penalty diverges), while a completely empty sector carries no
-composition term at all.
+composition term at all. A group with no composition preference (c = 0)
+sorts on its draws alone, wherever its group is.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Composition, ModelParams, TypeId, advantage_quantile
+from .model import Composition, ModelParams, advantage_quantile
 
 __all__ = [
-    "Agent",
     "AgentPopulation",
     "ConvergenceReport",
     "sample_population",
@@ -28,13 +28,6 @@ __all__ = [
     "run_to_convergence",
     "deviation_count",
 ]
-
-
-@dataclass(frozen=True)
-class Agent:
-    type_id: TypeId
-    delta: float
-    sector: int
 
 
 @dataclass(frozen=True)
@@ -49,13 +42,6 @@ class AgentPopulation:
     @property
     def size(self) -> int:
         return self.n_w + self.n_m
-
-    @property
-    def agents(self) -> list[Agent]:
-        return [
-            Agent(TypeId.W if w else TypeId.M, float(d), int(s))
-            for w, d, s in zip(self.is_w, self.delta, self.sector)
-        ]
 
     def shares(self) -> Composition:
         """Per-group empirical sector-1 fractions."""
@@ -214,8 +200,12 @@ def _switch_threshold(
     """sigma * (h1 - h2): the draw above which one group's agents prefer sector 1.
 
     h is the minority penalty c * total / own in each sector, 0 in an empty
-    sector and infinite in a nonempty sector without the group.
+    sector and infinite in a nonempty sector without the group. Without a
+    composition term (sigma * c = 0) the threshold is 0 wherever the group
+    is, as in model.h_eval and g_eval.
     """
+    if sigma * c == 0.0:
+        return 0.0
     if tot1 <= 0.0:
         h1 = 0.0
     elif own1 <= 0.0:
@@ -293,19 +283,8 @@ def deviation_count(pop: AgentPopulation, params: ModelParams) -> int:
     w_w, w_m, m1w, m1m, m2w, m2m = _masses(pop, params)
     tot1 = m1w + m1m
     tot2 = m2w + m2m
-    sigma = params.sigma
-
-    def comp_term(c, own1, own2):
-        if sigma == 0.0 or c == 0.0:
-            return 0.0
-        h1 = 0.0 if tot1 <= 0.0 else (math.inf if own1 <= 0.0 else c * tot1 / own1)
-        h2 = 0.0 if tot2 <= 0.0 else (math.inf if own2 <= 0.0 else c * tot2 / own2)
-        if h1 == h2:
-            return 0.0
-        return sigma * (h1 - h2)
-
-    term_w = comp_term(params.pref_w.c, m1w, m2w)
-    term_m = comp_term(params.pref_m.c, m1m, m2m)
+    term_w = _switch_threshold(params.sigma, params.pref_w.c, m1w, m2w, tot1, tot2)
+    term_m = _switch_threshold(params.sigma, params.pref_m.c, m1m, m2m, tot1, tot2)
     gap = np.where(pop.is_w, pop.delta - term_w, pop.delta - term_m)
     improving = np.where(pop.sector == 2, gap > 0.0, gap < 0.0)
     return int(np.count_nonzero(improving))

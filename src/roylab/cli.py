@@ -44,7 +44,7 @@ EXIT_IO = 3
 EXIT_INCONSISTENT = 4
 
 _CONFIG_KEYS = {
-    "command", "params", "resolution", "seed", "tol", "out", "threads",
+    "command", "params", "resolution", "seed", "tol", "out",
     "policy", "observed", "data_csv", "sidecar", "y_grid_size", "noise",
     "sweep", "grid", "oracle", "rounds_csv", "t_end", "dt",
 }
@@ -187,7 +187,6 @@ def cmd_basins(cfg: dict) -> int:
         int(cfg.get("resolution", 32)),
         t_end=float(cfg.get("t_end", 500.0)),
         dt=float(cfg.get("dt", 0.01)),
-        threads=int(cfg.get("threads", 1)),
     )
     base = cfg.get("out") or "basins"
     with open(base + ".csv", "w") as fh:
@@ -337,7 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output path (basename for csv+svg commands); default stdout")
-        p.add_argument("--threads", type=int, help="worker cap for grid integrations (default 1)")
         p.add_argument("--seed", type=int, help="random seed (default 0)")
         p.add_argument("--resolution", type=int, help="grid resolution (defaults per command)")
         p.add_argument("--tol", type=float, help="solver tolerance (default 1e-10)")
@@ -356,7 +354,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    for key in ("out", "threads", "seed", "resolution", "tol"):
+    for key in ("out", "seed", "resolution", "tol"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import (
-    EquilibriumPoint,
-    _component_m,
-    _component_w,
-    enumerate_equilibria,
-)
+from .equilibrium import EquilibriumPoint, _Group, _groups, enumerate_equilibria
 from .model import Composition, ModelParams
 
 __all__ = [
@@ -102,34 +97,7 @@ class NudgeResult:
     tipped: bool
 
 
-def _face_hold_w(params: ModelParams, at_one: bool, other):
-    """Vectorized corner predicate for the W clamp against partner fractions."""
-    other = np.asarray(other, dtype=float)
-    presence = (1.0 - other) if at_one else other
-    coef_g = params.sigma * params.pref_w.c * (params.mu_m / params.mu_w) * presence
-    beta = params.adv_w.beta
-    if beta < 1.0:
-        return coef_g > 0.0
-    if beta > 1.0:
-        return np.zeros_like(other, dtype=bool)
-    q_coef = params.adv_w.C * ((1.0 - params.adv_w.r_e) if at_one else params.adv_w.r_e)
-    return q_coef <= coef_g
-
-
-def _face_hold_m(params: ModelParams, at_one: bool, other):
-    other = np.asarray(other, dtype=float)
-    presence = (1.0 - other) if at_one else other
-    coef_g = params.sigma * params.pref_m.c * (params.mu_w / params.mu_m) * presence
-    beta = params.adv_m.beta
-    if beta < 1.0:
-        return coef_g > 0.0
-    if beta > 1.0:
-        return np.zeros_like(other, dtype=bool)
-    q_coef = params.adv_m.C * ((1.0 - params.adv_m.r_e) if at_one else params.adv_m.r_e)
-    return q_coef <= coef_g
-
-
-def _field(params: ModelParams, x, y):
+def _field(groups: tuple[_Group, _Group], x, y):
     """Raw flow on the closed square, vectorized.
 
     Interior coordinates move at the residual rate. A coordinate sitting on
@@ -138,70 +106,32 @@ def _field(params: ModelParams, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_in = np.clip(x, _FACE_OFFSET, 1.0 - _FACE_OFFSET)
-    y_in = np.clip(y, _FACE_OFFSET, 1.0 - _FACE_OFFSET)
-    vx = np.asarray(_component_w(params, x_in, y))
-    vy = np.asarray(_component_m(params, y_in, x))
-
-    w0 = x == 0.0
-    if np.any(w0):
-        hold = _face_hold_w(params, False, y)
-        vx = np.where(w0 & hold, 0.0, np.where(w0, np.maximum(vx, 0.0), vx))
-    w1 = x == 1.0
-    if np.any(w1):
-        hold = _face_hold_w(params, True, y)
-        vx = np.where(w1 & hold, 0.0, np.where(w1, np.minimum(vx, 0.0), vx))
-    m0 = y == 0.0
-    if np.any(m0):
-        hold = _face_hold_m(params, False, x)
-        vy = np.where(m0 & hold, 0.0, np.where(m0, np.maximum(vy, 0.0), vy))
-    m1 = y == 1.0
-    if np.any(m1):
-        hold = _face_hold_m(params, True, x)
-        vy = np.where(m1 & hold, 0.0, np.where(m1, np.minimum(vy, 0.0), vy))
-    return vx, vy
+    g_w, g_m = groups
+    return _coordinate_rate(g_w, x, y), _coordinate_rate(g_m, y, x)
 
 
-def _stiffness(params: ModelParams, x, y):
-    """Upper scale of the flow Jacobian, clipped away from the walls.
-
-    Entries of the Jacobian grow like C / (u(1-u))**(beta+1) from the
-    advantage quantile and like sigma*c*z / (u(1-u)) from the penalty term.
-    Inputs are clipped to [0.01, 0.99], and a coordinate sitting exactly on
-    its face contributes nothing: its dynamics are frozen there, so only the
-    free coordinate's scale should throttle the step.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc = np.clip(x, 0.01, 0.99)
-    yc = np.clip(y, 0.01, 0.99)
-    ux = xc * (1.0 - xc)
-    uy = yc * (1.0 - yc)
-    z_w = params.mu_m / params.mu_w
-    z_m = params.mu_w / params.mu_m
-    s_x = (
-        params.adv_w.C * ux ** -(params.adv_w.beta + 1.0)
-        + params.sigma * params.pref_w.c * z_w / ux
-    )
-    s_y = (
-        params.adv_m.C * uy ** -(params.adv_m.beta + 1.0)
-        + params.sigma * params.pref_m.c * z_m / uy
-    )
-    on_face_x = (x == 0.0) | (x == 1.0)
-    on_face_y = (y == 0.0) | (y == 1.0)
-    return np.where(on_face_x, 0.0, s_x) + np.where(on_face_y, 0.0, s_y)
+def _coordinate_rate(g: _Group, own, partner):
+    """Flow of one group's fraction `own` against the partner's fractions."""
+    v = np.asarray(g.component(np.clip(own, _FACE_OFFSET, 1.0 - _FACE_OFFSET), partner))
+    for at_one in (False, True):
+        on_face = own == (1.0 if at_one else 0.0)
+        if np.any(on_face):
+            inward = np.minimum(v, 0.0) if at_one else np.maximum(v, 0.0)
+            v = np.where(on_face & g.holds(at_one, partner), 0.0, np.where(on_face, inward, v))
+    return v
 
 
-def _field_capped(params: ModelParams, x, y):
-    vx, vy = _field(params, x, y)
+def _field_capped(groups: tuple[_Group, _Group], x, y):
+    vx, vy = _field(groups, x, y)
     speed = np.hypot(vx, vy)
-    scale = 1.0 / (1.0 + (speed + _stiffness(params, x, y)) / V_CAP)
+    stiffness = groups[0].stiffness(x) + groups[1].stiffness(y)
+    scale = 1.0 / (1.0 + (speed + stiffness) / V_CAP)
     return vx * scale, vy * scale
 
 
 def flow(params: ModelParams, comp: Composition) -> np.ndarray:
     """Raw velocity of the best-response dynamics at one composition."""
-    vx, vy = _field(params, comp.r_w, comp.r_m)
+    vx, vy = _field(_groups(params), comp.r_w, comp.r_m)
     return np.array([float(vx), float(vy)])
 
 
@@ -212,6 +142,28 @@ def _snap(terminal: Composition, equilibria, radius=SNAP_RADIUS):
         if d <= best_d:
             best, best_d = eq, d
     return best
+
+
+def _rk4_step(groups: tuple[_Group, _Group], x, y, dt: float):
+    """One RK4 step of the capped field from scalars or arrays x, y.
+
+    Each stage is projected onto the unit square; the new state is returned
+    unprojected, for the caller to check and clip.
+    """
+    k1x, k1y = _field_capped(groups, x, y)
+    k2x, k2y = _field_capped(
+        groups, np.clip(x + 0.5 * dt * k1x, 0.0, 1.0), np.clip(y + 0.5 * dt * k1y, 0.0, 1.0)
+    )
+    k3x, k3y = _field_capped(
+        groups, np.clip(x + 0.5 * dt * k2x, 0.0, 1.0), np.clip(y + 0.5 * dt * k2y, 0.0, 1.0)
+    )
+    k4x, k4y = _field_capped(
+        groups, np.clip(x + dt * k3x, 0.0, 1.0), np.clip(y + dt * k3y, 0.0, 1.0)
+    )
+    return (
+        x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+        y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y),
+    )
 
 
 def integrate(
@@ -225,27 +177,24 @@ def integrate(
 
     Every step is projected back onto the unit square. Integration stops
     early once the raw speed stays below 1e-10 for ten consecutive steps;
-    the terminal snaps to a supplied equilibrium within SNAP_RADIUS.
+    the terminal snaps to a supplied equilibrium within SNAP_RADIUS. A step
+    that leaves a non-finite state raises IntegrationError.
+
+    The state is kept in Python floats: numpy arithmetic on scalars costs a
+    fraction of the same operation on a one-element array, so one
+    trajectory runs the shared step here rather than in _integrate_batch.
     """
     if dt > t_end:
         raise ValueError("dt must not exceed t_end")
+    groups = _groups(params)
     n_steps = int(round(t_end / dt))
     xs = [init.r_w]
     ys = [init.r_m]
-    ts = [0.0]
     x, y = init.r_w, init.r_m
     quiet = 0
 
     for k in range(n_steps):
-        k1 = _field_capped(params, x, y)
-        x2, y2 = np.clip(x + 0.5 * dt * k1[0], 0.0, 1.0), np.clip(y + 0.5 * dt * k1[1], 0.0, 1.0)
-        k2 = _field_capped(params, x2, y2)
-        x3, y3 = np.clip(x + 0.5 * dt * k2[0], 0.0, 1.0), np.clip(y + 0.5 * dt * k2[1], 0.0, 1.0)
-        k3 = _field_capped(params, x3, y3)
-        x4, y4 = np.clip(x + dt * k3[0], 0.0, 1.0), np.clip(y + dt * k3[1], 0.0, 1.0)
-        k4 = _field_capped(params, x4, y4)
-        x = x + dt / 6.0 * float(k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y = y + dt / 6.0 * float(k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        x, y = map(float, _rk4_step(groups, x, y, dt))
         if not (np.isfinite(x) and np.isfinite(y)):
             raise IntegrationError(
                 f"non-finite state after step {k + 1}", (xs[-1], ys[-1])
@@ -254,8 +203,7 @@ def integrate(
         y = min(max(y, 0.0), 1.0)
         xs.append(x)
         ys.append(y)
-        ts.append((k + 1) * dt)
-        vx, vy = _field(params, x, y)
+        vx, vy = _field(groups, x, y)
         if max(abs(float(vx)), abs(float(vy))) < _STOP_SPEED:
             quiet += 1
             if quiet >= _STOP_RUNS:
@@ -264,18 +212,22 @@ def integrate(
             quiet = 0
 
     terminal = Composition(x, y)
-    hit = _snap(terminal, equilibria)
     return Trajectory(
-        times=np.array(ts),
+        times=np.arange(len(xs)) * dt,
         states=np.column_stack([xs, ys]),
         terminal=terminal,
         converged=quiet >= _STOP_RUNS,
-        converged_to=hit,
+        converged_to=_snap(terminal, equilibria),
     )
 
 
 def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float):
-    """Terminal states of many trajectories, advanced in lockstep."""
+    """Terminal states of many trajectories, advanced in lockstep.
+
+    Stops each trajectory as integrate does; one whose step goes non-finite
+    keeps its last finite state and stops there.
+    """
+    groups = _groups(params)
     x = np.array(x0, dtype=float).ravel().copy()
     y = np.array(y0, dtype=float).ravel().copy()
     active = np.ones(x.shape, dtype=bool)
@@ -286,30 +238,15 @@ def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float):
         if not np.any(active):
             break
         ax, ay = x[active], y[active]
-        k1x, k1y = _field_capped(params, ax, ay)
-        k2x, k2y = _field_capped(
-            params,
-            np.clip(ax + 0.5 * dt * k1x, 0.0, 1.0),
-            np.clip(ay + 0.5 * dt * k1y, 0.0, 1.0),
-        )
-        k3x, k3y = _field_capped(
-            params,
-            np.clip(ax + 0.5 * dt * k2x, 0.0, 1.0),
-            np.clip(ay + 0.5 * dt * k2y, 0.0, 1.0),
-        )
-        k4x, k4y = _field_capped(
-            params,
-            np.clip(ax + dt * k3x, 0.0, 1.0),
-            np.clip(ay + dt * k3y, 0.0, 1.0),
-        )
-        nx = np.clip(ax + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), 0.0, 1.0)
-        ny = np.clip(ay + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y), 0.0, 1.0)
+        nx, ny = _rk4_step(groups, ax, ay, dt)
+        nx = np.clip(nx, 0.0, 1.0)
+        ny = np.clip(ny, 0.0, 1.0)
         bad = ~(np.isfinite(nx) & np.isfinite(ny))
         nx = np.where(bad, ax, nx)
         ny = np.where(bad, ay, ny)
         x[active] = nx
         y[active] = ny
-        vx, vy = _field(params, nx, ny)
+        vx, vy = _field(groups, nx, ny)
         slow = np.maximum(np.abs(vx), np.abs(vy)) < _STOP_SPEED
         q = quiet[active]
         q = np.where(slow, q + 1, 0)
@@ -345,25 +282,20 @@ def _refine_on_segment(f, p0, p1, v0):
     return 0.5 * (a + b)
 
 
-def _nullcline_polylines(params: ModelParams, which: str, n: int) -> list[np.ndarray]:
-    """Zero contour of one residual component by marching squares.
+def _nullcline_polylines(g: _Group, own_axis: int, n: int) -> list[np.ndarray]:
+    """Zero contour of one group's residual component by marching squares.
 
-    Cell-edge crossings are located by sign change, refined by bisection
-    along the grid edge, and chained into polylines.
+    own_axis is the coordinate holding the group's own fraction. Cell-edge
+    crossings are located by sign change, refined by bisection along the
+    grid edge, and chained into polylines.
     """
     axis = np.linspace(_NULL_EPS, 1.0 - _NULL_EPS, n)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    if which == "w":
-        vals = np.asarray(_component_w(params, gx, gy))
+    grid = np.meshgrid(axis, axis, indexing="ij")
+    vals = np.asarray(g.component(grid[own_axis], grid[1 - own_axis]))
 
-        def f(p):
-            return float(_component_w(params, min(max(p[0], _NULL_EPS), 1 - _NULL_EPS), p[1]))
-
-    else:
-        vals = np.asarray(_component_m(params, gy, gx))
-
-        def f(p):
-            return float(_component_m(params, min(max(p[1], _NULL_EPS), 1 - _NULL_EPS), p[0]))
+    def f(p):
+        own = min(max(p[own_axis], _NULL_EPS), 1 - _NULL_EPS)
+        return float(g.component(own, p[1 - own_axis]))
 
     segments = []
 
@@ -403,7 +335,6 @@ def _chain_segments(segments) -> list[np.ndarray]:
     def key(p):
         return (round(p[0], 7), round(p[1], 7))
 
-    unused = list(range(len(segments)))
     by_end: dict = {}
     for idx, (a, b) in enumerate(segments):
         by_end.setdefault(key(a), []).append(idx)
@@ -448,15 +379,16 @@ def phase_portrait(
         raise ValueError(f"portrait resolution must be at least 16, got {n}")
     axis = np.linspace(0.0, 1.0, n)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    vx, vy = _field(params, gx, gy)
+    g_w, g_m = _groups(params)
+    vx, vy = _field((g_w, g_m), gx, gy)
     vel = np.stack([vx, vy], axis=-1)
     if equilibria is None:
         equilibria = enumerate_equilibria(params, grid_n=grid_n or max(n, 64))
     return PhasePortrait(
         axis=axis,
         velocity=vel,
-        nullcline_w=_nullcline_polylines(params, "w", max(n, 64)),
-        nullcline_m=_nullcline_polylines(params, "m", max(n, 64)),
+        nullcline_w=_nullcline_polylines(g_w, 0, max(n, 64)),
+        nullcline_m=_nullcline_polylines(g_m, 1, max(n, 64)),
         equilibria=equilibria,
     )
 
@@ -468,13 +400,12 @@ def basins(
     dt: float = 0.01,
     equilibria: list[EquilibriumPoint] | None = None,
     grid_n: int | None = None,
-    threads: int = 1,
 ) -> BasinMap:
     """Attraction basins on an n x n lattice of cell centers.
 
-    Cells integrate independently; threads > 1 splits the lattice into
-    contiguous chunks mapped over a thread pool, with results written back
-    by index, so the output never depends on scheduling.
+    All cells integrate in one lockstep batch. A cell whose terminal state
+    lies farther than SNAP_RADIUS from every equilibrium, for instance after
+    a non-finite step, is labelled -1.
     """
     if n < 16:
         raise ValueError(f"basin resolution must be at least 16, got {n}")
@@ -482,25 +413,7 @@ def basins(
         equilibria = enumerate_equilibria(params, grid_n=grid_n or max(n, 64))
     centers = (np.arange(n) + 0.5) / n
     gx, gy = np.meshgrid(centers, centers, indexing="ij")
-    x0, y0 = gx.ravel(), gy.ravel()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(x0.size), threads)
-        tx = np.empty_like(x0)
-        ty = np.empty_like(y0)
-        done = np.zeros(x0.size, dtype=bool)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                (idx, pool.submit(_integrate_batch, params, x0[idx], y0[idx], t_end, dt))
-                for idx in chunks
-                if idx.size
-            ]
-            for idx, fut in futures:
-                cx, cy, cdone = fut.result()
-                tx[idx], ty[idx], done[idx] = cx, cy, cdone
-    else:
-        tx, ty, done = _integrate_batch(params, x0, y0, t_end, dt)
+    tx, ty, _ = _integrate_batch(params, gx.ravel(), gy.ravel(), t_end, dt)
     labels = np.full(tx.shape, -1, dtype=int)
     pts = np.array([[e.comp.r_w, e.comp.r_m] for e in equilibria])
     for k in range(tx.size):

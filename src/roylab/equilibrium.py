@@ -13,16 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    Composition,
-    ModelParams,
-    gammas,
-    g_interior,
-    _quantile_scalar,
-)
+from .model import Composition, ModelParams, gammas
 
 __all__ = [
     "Residual",
@@ -111,6 +106,96 @@ class EquilibriumPoint:
         }
 
 
+class _Group(NamedTuple):
+    """One group's side of the model: the same equations for W and M.
+
+    C, r_e and beta are the group's advantage law and k = sigma * c * z its
+    preference weight, z being the other group's mass over its own. Methods
+    take the own sector-1 fraction x, which must be interior, and the
+    partner's fraction y, which may sit at 0 or 1; numpy arrays and Python
+    floats both work.
+    """
+
+    C: float
+    r_e: float
+    beta: float
+    k: float
+
+    def advantage(self, x):
+        """Advantage quantile of the group's marginal member at own fraction x."""
+        return self.C * (self.r_e - x) / (x * (1.0 - x)) ** self.beta
+
+    def penalty(self, x, y):
+        """Net composition gain of sector 1 over sector 2, weighted by k."""
+        return self.k * (y - x) / (x * (1.0 - x))
+
+    def component(self, x, y):
+        """The group's residual: zero when its marginal member is indifferent."""
+        return self.advantage(x) - self.penalty(x, y)
+
+    def d_own(self, x, y):
+        """Exact partial derivative of the component in the own fraction x."""
+        u = x * (1.0 - x)
+        s = 1.0 - 2.0 * x
+        return (
+            -self.C * u ** -self.beta * (1.0 + self.beta * (self.r_e - x) * s / u)
+            + self.k * (1.0 + (y - x) * s / u) / u
+        )
+
+    def d_partner(self, x):
+        """Exact partial derivative of the component in the partner fraction."""
+        return -self.k / (x * (1.0 - x))
+
+    def corner(self, at_one: bool, y):
+        """Leading tail coefficients (advantage, penalty) at the clamp x = 1 or 0.
+
+        At distance d from the clamp the marginal advantage grows like
+        advantage_coef * d ** -beta and the penalty like penalty_coef / d.
+        """
+        if at_one:
+            return self.C * (1.0 - self.r_e), self.k * (1.0 - y)
+        return self.C * self.r_e, self.k * y
+
+    def holds(self, at_one: bool, y):
+        """Analytic corner verdict: the penalty outgrows the tail at the clamp.
+
+        Vectorized over partner fractions y, so the dynamics also use it as
+        the predicate that freezes a coordinate on its face.
+        """
+        q_coef, g_coef = self.corner(at_one, np.asarray(y, dtype=float))
+        if self.beta < 1.0:
+            return g_coef > 0.0
+        if self.beta > 1.0:
+            return np.zeros_like(g_coef, dtype=bool)
+        return q_coef <= g_coef
+
+    def stiffness(self, x):
+        """Upper scale of the partials, clipped away from the walls; 0 on a face.
+
+        The partials grow like C / (u(1-u))**(beta+1) from the advantage and
+        like k / (u(1-u)) from the penalty. A coordinate sitting exactly on
+        its face is frozen there, so it contributes nothing.
+        """
+        xc = np.clip(x, 0.01, 0.99)
+        u = xc * (1.0 - xc)
+        s = self.C * u ** -(self.beta + 1.0) + self.k / u
+        return np.where((x == 0.0) | (x == 1.0), 0.0, s)
+
+
+def _groups(params: ModelParams) -> tuple[_Group, _Group]:
+    """The (W, M) views; group i's own fraction is coordinate i of a composition."""
+    return (
+        _Group(params.adv_w.C, params.adv_w.r_e, params.adv_w.beta,
+               params.sigma * params.pref_w.c * (params.mu_m / params.mu_w)),
+        _Group(params.adv_m.C, params.adv_m.r_e, params.adv_m.beta,
+               params.sigma * params.pref_m.c * (params.mu_w / params.mu_m)),
+    )
+
+
+#: edge kind -> (index of the free coordinate, value of the clamped one)
+_EDGES = {EDGE_W0: (1, 0.0), EDGE_W1: (1, 1.0), EDGE_M0: (0, 0.0), EDGE_M1: (0, 1.0)}
+
+
 def residual_arrays(params: ModelParams, x, y):
     """Residual components on interior points; vectorized over x, y arrays.
 
@@ -121,23 +206,8 @@ def residual_arrays(params: ModelParams, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    e_w = _component_w(params, x, y)
-    e_m = _component_m(params, y, x)
-    return e_w, e_m
-
-
-def _component_w(params: ModelParams, x, y):
-    """W residual; x must be interior, the partner fraction y may sit at 0 or 1."""
-    z_w = params.mu_m / params.mu_w
-    q_w = params.adv_w.C * (params.adv_w.r_e - x) / (x * (1.0 - x)) ** params.adv_w.beta
-    return q_w - params.sigma * g_interior(params.pref_w.c, z_w, x, y)
-
-
-def _component_m(params: ModelParams, y, x):
-    """M residual; y must be interior, the partner fraction x may sit at 0 or 1."""
-    z_m = params.mu_w / params.mu_m
-    q_m = params.adv_m.C * (params.adv_m.r_e - y) / (y * (1.0 - y)) ** params.adv_m.beta
-    return q_m - params.sigma * g_interior(params.pref_m.c, z_m, y, x)
+    g_w, g_m = _groups(params)
+    return g_w.component(x, y), g_m.component(y, x)
 
 
 def residual(params: ModelParams, comp: Composition) -> Residual:
@@ -232,11 +302,10 @@ def _residual_norm_for(params: ModelParams, comp: Composition, kind: str) -> flo
     """Residual norm over the free coordinates only (zero for vertices)."""
     if kind == INTERIOR:
         return residual(params, comp).norm
-    if kind in (EDGE_W0, EDGE_W1):
-        return abs(_edge_residual(params, "m", comp.r_m, clamped_other=comp.r_w))
-    if kind in (EDGE_M0, EDGE_M1):
-        return abs(_edge_residual(params, "w", comp.r_w, clamped_other=comp.r_m))
-    return 0.0
+    if kind not in _EDGES:
+        return 0.0
+    free, clamp = _EDGES[kind]
+    return abs(_groups(params)[free].component((comp.r_w, comp.r_m)[free], clamp))
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +333,12 @@ def solve_monotone_iteration(
         stability, eigs = classify_stability(params, comp, INTERIOR)
         return EquilibriumPoint(comp, INTERIOR, stability, eigs, residual(params, comp).norm)
 
+    g_w, g_m = _groups(params)
     r_w, r_m = re_w, re_m
     for _ in range(max_iter):
         try:
-            new_w = _scalar_solve_w(params, r_m, upper=r_w)
-            new_m = _scalar_solve_m(params, r_w, lower=r_m)
+            new_w = _scalar_solve(g_w, r_m, r_w, toward_one=False)
+            new_m = _scalar_solve(g_m, r_w, r_m, toward_one=True)
         except ConvergenceError as exc:
             raise ConvergenceError(str(exc), (r_w, r_m)) from None
         step = max(abs(new_w - r_w), abs(new_m - r_m))
@@ -299,20 +369,6 @@ def _finish_monotone(params: ModelParams, r_w: float, r_m: float, tol: float) ->
     return EquilibriumPoint(comp, kind, stability, eigs, _residual_norm_for(params, comp, kind))
 
 
-def _phi_w(params: ModelParams, x: float, y: float) -> float:
-    """Scalar residual of the W equation at own fraction x, partner fraction y."""
-    z = params.mu_m / params.mu_w
-    q = _quantile_scalar(params.adv_w.C, params.adv_w.r_e, params.adv_w.beta, 1.0 - x)
-    return q - params.sigma * params.pref_w.c * z * (y - x) / (x * (1.0 - x))
-
-
-def _phi_m(params: ModelParams, y: float, x: float) -> float:
-    """Scalar residual of the M equation at own fraction y, partner fraction x."""
-    z = params.mu_w / params.mu_m
-    q = _quantile_scalar(params.adv_m.C, params.adv_m.r_e, params.adv_m.beta, 1.0 - y)
-    return q - params.sigma * params.pref_m.c * z * (x - y) / (y * (1.0 - y))
-
-
 _SCAN_FLOOR = 1e-15
 
 
@@ -323,53 +379,37 @@ def _descending_grid(upper: float) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _scalar_solve_w(params: ModelParams, y: float, upper: float) -> float:
-    """Largest root of the W equation at or below `upper`; 0.0 after a slide.
+def _scalar_solve(g: _Group, y: float, start: float, toward_one: bool) -> float:
+    """Root of one group's equation nearest `start` on the side of its clamp.
 
-    When no interior root survives above the scan floor, the coordinate
-    slides to its clamp only if the corner test approves of full exclusion;
-    otherwise a root exists closer to the wall than floats resolve and a
+    The monotone iteration moves W toward its clamp at 0 and M toward its
+    clamp at 1, so the scan runs from `start` toward that clamp. When no
+    interior root survives above the scan floor, the coordinate slides to
+    its clamp only if the corner test approves of full exclusion; otherwise
+    a root exists closer to the wall than floats resolve and a
     ConvergenceError reports the impasse.
     """
-    if upper <= 0.0:
-        return 0.0
-    if _phi_w(params, upper, y) == 0.0:
-        return upper
-    if upper > _SCAN_FLOOR:
-        # residual is <= 0 at the previous iterate; search downward
-        grid = np.clip(_descending_grid(upper), _SCAN_FLOOR, None)
-        vals = _component_w(params, grid, y)
-        pos = np.nonzero(vals > 0.0)[0]
-        if pos.size:
-            i = pos[0]
-            lo, hi = float(grid[i]), float(grid[i - 1]) if i > 0 else upper
-            return _bisect(lambda x: _phi_w(params, x, y), lo, hi, want_sign_low=+1.0)
-    if _corner_analytic(params, "w", False, y):
-        return 0.0
+    clamp = 1.0 if toward_one else 0.0
+    room = 1.0 - start if toward_one else start
+    if room <= 0.0:
+        return clamp
+    if g.component(start, y) == 0.0:
+        return start
+    if room > _SCAN_FLOOR:
+        # the residual at the previous iterate has the sign that points at
+        # the clamp; the root is where that sign first flips
+        steps = np.clip(_descending_grid(room), _SCAN_FLOOR, None)
+        grid = 1.0 - steps if toward_one else steps
+        vals = g.component(grid, y)
+        flipped = np.nonzero(vals < 0.0 if toward_one else vals > 0.0)[0]
+        if flipped.size:
+            i = flipped[0]
+            near = float(grid[i - 1]) if i > 0 else start
+            return _bisect(lambda v: g.component(v, y), float(grid[i]), near, want_sign_low=+1.0)
+    if g.holds(toward_one, y):
+        return clamp
     raise ConvergenceError(
-        "W equation root lies closer to 0 than the scan resolves", (upper, y)
-    )
-
-
-def _scalar_solve_m(params: ModelParams, x: float, lower: float) -> float:
-    """Smallest root of the M equation at or above `lower`; 1.0 after a slide."""
-    if lower >= 1.0:
-        return 1.0
-    if _phi_m(params, lower, x) == 0.0:
-        return lower
-    if 1.0 - lower > _SCAN_FLOOR:
-        grid = np.clip(1.0 - _descending_grid(1.0 - lower), None, 1.0 - _SCAN_FLOOR)
-        vals = _component_m(params, grid, x)
-        neg = np.nonzero(vals < 0.0)[0]
-        if neg.size:
-            i = neg[0]
-            lo = float(grid[i - 1]) if i > 0 else lower
-            hi = float(grid[i])
-            return _bisect(lambda yv: _phi_m(params, yv, x), lo, hi, want_sign_low=+1.0)
-    if _corner_analytic(params, "m", True, x):
-        return 1.0
-    raise ConvergenceError(
-        "M equation root lies closer to 1 than the scan resolves", (x, lower)
+        f"equation root lies closer to {clamp:g} than the scan resolves", (start, y)
     )
 
 
@@ -396,7 +436,7 @@ _OPEN_EPS = 1e-12
 
 
 def _newton_batch(params: ModelParams, x0, y0, tol: float, max_iter: int = 80):
-    """Damped Newton with finite-difference Jacobian on a batch of seeds.
+    """Damped Newton with the exact Jacobian on a batch of seeds.
 
     Returns (x, y, ok): seeds whose iterates left the open square or stalled
     have ok = False. Runs all seeds in lockstep with numpy; converged points
@@ -406,7 +446,6 @@ def _newton_batch(params: ModelParams, x0, y0, tol: float, max_iter: int = 80):
     x = np.array(x0, dtype=float).ravel().copy()
     y = np.array(y0, dtype=float).ravel().copy()
     alive = (x > _OPEN_EPS) & (x < 1 - _OPEN_EPS) & (y > _OPEN_EPS) & (y < 1 - _OPEN_EPS)
-    h = 1e-7
     # residual floor below which a point is frozen as converged; well under
     # tol so duplicates from different seeds coincide to ~1e-13 in position
     floor = min(1e-13, tol * 1e-2)
@@ -417,19 +456,11 @@ def _newton_batch(params: ModelParams, x0, y0, tol: float, max_iter: int = 80):
     for _ in range(max_iter):
         if not np.any(alive):
             break
-        ew, em = residual_arrays(params, np.clip(x, _OPEN_EPS, 1 - _OPEN_EPS),
-                                 np.clip(y, _OPEN_EPS, 1 - _OPEN_EPS))
+        xc = np.clip(x, _OPEN_EPS, 1 - _OPEN_EPS)
+        yc = np.clip(y, _OPEN_EPS, 1 - _OPEN_EPS)
+        ew, em = residual_arrays(params, xc, yc)
         alive &= np.maximum(np.abs(ew), np.abs(em)) > floor
-        hx = np.minimum(h, np.minimum(x, 1 - x) / 4)
-        hy = np.minimum(h, np.minimum(y, 1 - y) / 4)
-        ew_xp, em_xp = residual_arrays(params, x + hx, y)
-        ew_xm, em_xm = residual_arrays(params, x - hx, y)
-        ew_yp, em_yp = residual_arrays(params, x, y + hy)
-        ew_ym, em_ym = residual_arrays(params, x, y - hy)
-        j11 = (ew_xp - ew_xm) / (2 * hx)
-        j21 = (em_xp - em_xm) / (2 * hx)
-        j12 = (ew_yp - ew_ym) / (2 * hy)
-        j22 = (em_yp - em_ym) / (2 * hy)
+        j11, j12, j21, j22 = _flow_jacobian(params, xc, yc)
         det = j11 * j22 - j12 * j21
         bad = (np.abs(det) < 1e-300) | ~np.isfinite(det)
         det = np.where(bad, 1.0, det)
@@ -479,66 +510,43 @@ def solve_from_seed(
 ) -> EquilibriumPoint | None:
     """Find an interior equilibrium by damped Newton from one seed.
 
-    Returns None when iterates leave the open square or stall; on a stall a
-    coordinate-wise bisection sweep (re-solving each scalar equation against
-    the other coordinate) is attempted before giving up.
+    When the Newton iterates leave the open square or stall, a Gauss-Seidel
+    sweep takes over: it alternately moves each coordinate to the root of
+    its own scalar equation nearest to it, against the other coordinate.
+    Returns None when that sweep loses its roots, leaves the open square
+    or ends off the equilibrium tolerance.
     """
     if not seed.interior:
         raise ValueError("seed must be interior")
     x, y, ok = _newton_batch(params, [seed.r_w], [seed.r_m], tol)
     if ok[0]:
         comp = Composition(float(x[0]), float(y[0]))
-        stability, eigs = classify_stability(params, comp, INTERIOR)
-        return EquilibriumPoint(comp, INTERIOR, stability, eigs, residual(params, comp).norm)
-
-    # Gauss-Seidel fallback on the two scalar equations
-    r_w, r_m = seed.r_w, seed.r_m
-    for _ in range(200):
-        new_w = _nearest_scalar_root_w(params, r_m, r_w)
-        if new_w is None:
+    else:
+        comp = _gauss_seidel(params, seed)
+        if comp is None or residual(params, comp).norm >= tol:
             return None
-        new_m = _nearest_scalar_root_m(params, new_w, r_m)
-        if new_m is None:
-            return None
-        step = max(abs(new_w - r_w), abs(new_m - r_m))
-        r_w, r_m = new_w, new_m
-        if step < 1e-14:
-            break
-    if not (0 < r_w < 1 and 0 < r_m < 1):
-        return None
-    comp = Composition(r_w, r_m)
-    if residual(params, comp).norm >= tol:
-        return None
     stability, eigs = classify_stability(params, comp, INTERIOR)
     return EquilibriumPoint(comp, INTERIOR, stability, eigs, residual(params, comp).norm)
 
 
-def _nearest_scalar_root_w(params: ModelParams, y: float, near: float) -> float | None:
-    grid = np.linspace(1e-9, 1 - 1e-9, 2001)
-    vals = np.asarray(_component_w(params, grid, y))
-    sign_flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_flips.size == 0:
+def _gauss_seidel(params: ModelParams, seed: Composition) -> Composition | None:
+    """The coordinate-wise sweep of solve_from_seed; None when it fails."""
+    groups = _groups(params)
+    r = [seed.r_w, seed.r_m]
+    for _ in range(200):
+        step = 0.0
+        for i, g in enumerate(groups):
+            roots = _roots_along(g, r[1 - i])
+            if not roots:
+                return None
+            new = min(roots, key=lambda v: abs(v - r[i]))
+            step = max(step, abs(new - r[i]))
+            r[i] = new
+        if step < 1e-14:
+            break
+    if not (0 < r[0] < 1 and 0 < r[1] < 1):
         return None
-    roots = [
-        _bisect(lambda x: _phi_w(params, x, y), float(grid[i]), float(grid[i + 1]),
-                want_sign_low=math.copysign(1.0, vals[i]))
-        for i in sign_flips
-    ]
-    return min(roots, key=lambda r: abs(r - near))
-
-
-def _nearest_scalar_root_m(params: ModelParams, x: float, near: float) -> float | None:
-    grid = np.linspace(1e-9, 1 - 1e-9, 2001)
-    vals = np.asarray(_component_m(params, grid, x))
-    sign_flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_flips.size == 0:
-        return None
-    roots = [
-        _bisect(lambda yv: _phi_m(params, yv, x), float(grid[i]), float(grid[i + 1]),
-                want_sign_low=math.copysign(1.0, vals[i]))
-        for i in sign_flips
-    ]
-    return min(roots, key=lambda r: abs(r - near))
+    return Composition(r[0], r[1])
 
 
 # ---------------------------------------------------------------------------
@@ -546,56 +554,7 @@ def _nearest_scalar_root_m(params: ModelParams, x: float, near: float) -> float 
 # ---------------------------------------------------------------------------
 
 
-def _corner_coefficients(params: ModelParams, side: str, at_one: bool, other: float):
-    """Leading tail coefficients for one clamped coordinate.
-
-    Returns (quantile_coef, quantile_order, g_coef): near the clamp the
-    marginal advantage grows like quantile_coef * d ** -beta while the
-    composition penalty grows like g_coef * d ** -1.
-    """
-    if side == "w":
-        adv, pref, z = params.adv_w, params.pref_w, params.mu_m / params.mu_w
-    else:
-        adv, pref, z = params.adv_m, params.pref_m, params.mu_w / params.mu_m
-    if at_one:
-        q_coef = adv.C * (1.0 - adv.r_e)
-        g_coef = params.sigma * pref.c * z * (1.0 - other)
-    else:
-        q_coef = adv.C * adv.r_e
-        g_coef = params.sigma * pref.c * z * other
-    return q_coef, adv.beta, g_coef
-
-
-def _corner_margin(params: ModelParams, side: str, at_one: bool, other: float, d: float):
-    """Exact inequality margin at distance d from the clamp (>= 0 means held)."""
-    if side == "w":
-        adv, pref, z = params.adv_w, params.pref_w, params.mu_m / params.mu_w
-    else:
-        adv, pref, z = params.adv_m, params.pref_m, params.mu_w / params.mu_m
-    if at_one:
-        # a mass d stepping down from full participation must not gain
-        q = _quantile_scalar(adv.C, adv.r_e, adv.beta, d)
-        g = params.sigma * pref.c * z * (other - (1.0 - d)) / ((1.0 - d) * d)
-        return q - g
-    q = _quantile_scalar(adv.C, adv.r_e, adv.beta, 1.0 - d)
-    g = params.sigma * pref.c * z * (other - d) / (d * (1.0 - d))
-    return g - q
-
-
-def _corner_analytic(params: ModelParams, side: str, at_one: bool, other: float) -> bool:
-    q_coef, beta, g_coef = _corner_coefficients(params, side, at_one, other)
-    if g_coef <= 0.0:
-        return False
-    if beta < 1.0:
-        return True
-    if beta > 1.0:
-        return False
-    return q_coef <= g_coef
-
-
-def _corner_numeric_consistent(
-    params: ModelParams, side: str, at_one: bool, other: float, analytic: bool
-) -> bool:
+def _corner_numeric_consistent(g: _Group, at_one: bool, other: float, analytic: bool) -> bool:
     """Check the clamp inequality on d = 1e-2 .. 1e-8 against the analytic verdict.
 
     The comparison is on the trend of the penalty-to-advantage ratio, which
@@ -603,29 +562,21 @@ def _corner_numeric_consistent(
     tested window even though it does asymptotically, but its direction of
     travel is already visible.
     """
-    q_coef, beta, g_coef = _corner_coefficients(params, side, at_one, other)
-    if g_coef <= 0.0:
-        # penalty does not diverge: the exact margin at small d settles it
-        return analytic == (_corner_margin(params, side, at_one, other, 1e-8) >= 0.0)
-    deltas = 10.0 ** -np.arange(2, 9)
+    if g.corner(at_one, other)[1] <= 0.0:
+        # penalty does not diverge: the exact margin at small d settles it;
+        # a mass d stepping off the clamp must not gain
+        e = g.component(1.0 - 1e-8 if at_one else 1e-8, other)
+        return analytic == ((e if at_one else -e) >= 0.0)
     ratios = []
-    for d in deltas:
-        if side == "w":
-            adv, pref, z = params.adv_w, params.pref_w, params.mu_m / params.mu_w
-        else:
-            adv, pref, z = params.adv_m, params.pref_m, params.mu_w / params.mu_m
-        if at_one:
-            q = _quantile_scalar(adv.C, adv.r_e, adv.beta, d)
-            g = params.sigma * pref.c * z * (other - (1.0 - d)) / ((1.0 - d) * d)
-        else:
-            q = _quantile_scalar(adv.C, adv.r_e, adv.beta, 1.0 - d)
-            g = params.sigma * pref.c * z * (other - d) / (d * (1.0 - d))
-        ratios.append(g / q if q != 0.0 else math.inf)
+    for d in 10.0 ** -np.arange(2, 9):
+        x = 1.0 - d if at_one else d
+        q = g.advantage(x)
+        ratios.append(g.penalty(x, other) / q if q != 0.0 else math.inf)
     first, last = ratios[0], ratios[-1]
-    if beta != 1.0:
+    if g.beta != 1.0:
         trend_up = last > first * (1.0 + 1e-9)
         return trend_up == analytic
-    # unit exponent: the ratio converges to g_coef / q_coef
+    # unit exponent: the ratio converges to penalty_coef / advantage_coef
     level_ok = last >= 1.0 - 1e-6
     return level_ok == analytic
 
@@ -640,22 +591,17 @@ def verify_corner(params: ModelParams, candidate: Composition) -> bool:
     beta = 1; the exact inequality is also evaluated on d = 1e-2 .. 1e-8 and
     a contradictory trend raises ConsistencyError.
     """
-    clamps = []
-    if candidate.r_w == 0.0:
-        clamps.append(("w", False, candidate.r_m))
-    elif candidate.r_w == 1.0:
-        clamps.append(("w", True, candidate.r_m))
-    if candidate.r_m == 0.0:
-        clamps.append(("m", False, candidate.r_w))
-    elif candidate.r_m == 1.0:
-        clamps.append(("m", True, candidate.r_w))
-    if not clamps:
+    coords = (candidate.r_w, candidate.r_m)
+    clamped = [i for i in (0, 1) if coords[i] in (0.0, 1.0)]
+    if not clamped:
         raise ValueError("verify_corner needs at least one coordinate at 0 or 1")
-    for side, at_one, other in clamps:
-        analytic = _corner_analytic(params, side, at_one, other)
-        if not _corner_numeric_consistent(params, side, at_one, other, analytic):
+    groups = _groups(params)
+    for i in clamped:
+        g, at_one, other = groups[i], coords[i] == 1.0, coords[1 - i]
+        analytic = bool(g.holds(at_one, other))
+        if not _corner_numeric_consistent(g, at_one, other, analytic):
             raise ConsistencyError(
-                f"corner tests disagree for {side} clamp at "
+                f"corner tests disagree for {'wm'[i]} clamp at "
                 f"{'1' if at_one else '0'} with partner at {other}"
             )
         if not analytic:
@@ -668,45 +614,21 @@ def verify_corner(params: ModelParams, candidate: Composition) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _flow_jacobian(params: ModelParams, x: float, y: float, step: float = 1e-6):
-    hx = min(step, x / 2, (1.0 - x) / 2)
-    hy = min(step, y / 2, (1.0 - y) / 2)
-    ew_xp, em_xp = residual_arrays(params, x + hx, y)
-    ew_xm, em_xm = residual_arrays(params, x - hx, y)
-    ew_yp, em_yp = residual_arrays(params, x, y + hy)
-    ew_ym, em_ym = residual_arrays(params, x, y - hy)
-    return np.array(
-        [
-            [(ew_xp - ew_xm) / (2 * hx), (ew_yp - ew_ym) / (2 * hy)],
-            [(em_xp - em_xm) / (2 * hx), (em_yp - em_ym) / (2 * hy)],
-        ],
-        dtype=float,
-    )
+def _flow_jacobian(params: ModelParams, x, y):
+    """Exact Jacobian of (e_w, e_m) in (r_w, r_m) on interior points, vectorized.
+
+    Returns the entries (j11, j12, j21, j22) in row order.
+    """
+    g_w, g_m = _groups(params)
+    return g_w.d_own(x, y), g_w.d_partner(x), g_m.d_partner(y), g_m.d_own(y, x)
 
 
-def _eig2(j: np.ndarray) -> tuple[complex, complex]:
-    tr = j[0, 0] + j[1, 1]
-    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+def _eig2(j11: float, j12: float, j21: float, j22: float) -> tuple[complex, complex]:
+    tr = j11 + j22
+    det = j11 * j22 - j12 * j21
     disc = tr * tr - 4.0 * det
     root = math.sqrt(disc) if disc >= 0.0 else complex(0.0, math.sqrt(-disc))
     return (complex(tr + root) / 2.0, complex(tr - root) / 2.0)
-
-
-def _edge_residual(params: ModelParams, free_side: str, v: float, clamped_other: float) -> float:
-    """Residual of the free coordinate's equation along an edge."""
-    if free_side == "w":
-        return _phi_w(params, v, clamped_other)
-    return _phi_m(params, v, clamped_other)
-
-
-def _edge_info(kind: str):
-    """(free side, clamped coordinate value) for an edge kind."""
-    return {
-        EDGE_W0: ("m", 0.0),
-        EDGE_W1: ("m", 1.0),
-        EDGE_M0: ("w", 0.0),
-        EDGE_M1: ("w", 1.0),
-    }[kind]
 
 
 def classify_stability(
@@ -714,16 +636,15 @@ def classify_stability(
 ) -> tuple[str, tuple[complex, ...] | None]:
     """Stability label and eigenvalues of one rest point.
 
-    Interior points use the two eigenvalues of the finite-difference flow
-    Jacobian: both real parts negative is stable, opposite signs a saddle,
-    both positive unstable, and a real part within 1e-8 of zero is reported
-    as degenerate rather than guessed. Edge points combine the derivative
+    Interior points use the two eigenvalues of the exact flow Jacobian:
+    both real parts negative is stable, opposite signs a saddle, both
+    positive unstable, and a real part within 1e-8 of zero is reported as
+    degenerate rather than guessed. Edge points combine the exact derivative
     along the free coordinate with the corner test on the clamped one;
     vertices require inflow along both adjacent edges.
     """
     if kind == INTERIOR:
-        j = _flow_jacobian(params, comp.r_w, comp.r_m)
-        eigs = _eig2(j)
+        eigs = _eig2(*_flow_jacobian(params, comp.r_w, comp.r_m))
         reals = [ev.real for ev in eigs]
         if any(abs(r) < _EIG_ZERO_TOL for r in reals):
             return DEGENERATE, eigs
@@ -733,14 +654,10 @@ def classify_stability(
             return UNSTABLE, eigs
         return SADDLE, eigs
 
-    if kind in (EDGE_W0, EDGE_W1, EDGE_M0, EDGE_M1):
-        free_side, clamp_val = _edge_info(kind)
-        v = comp.r_m if free_side == "m" else comp.r_w
-        h = min(1e-6, v / 2, (1.0 - v) / 2)
-        d = (
-            _edge_residual(params, free_side, v + h, clamp_val)
-            - _edge_residual(params, free_side, v - h, clamp_val)
-        ) / (2 * h)
+    coords = (comp.r_w, comp.r_m)
+    if kind in _EDGES:
+        free, clamp = _EDGES[kind]
+        d = _groups(params)[free].d_own(coords[free], clamp)
         eigs = (complex(d),)
         if abs(d) < _EIG_ZERO_TOL:
             return DEGENERATE, eigs
@@ -750,17 +667,13 @@ def classify_stability(
         return SADDLE, eigs
 
     if kind == VERTEX:
-        eps = 1e-6
-        x0 = eps if comp.r_w == 0.0 else 1.0 - eps
-        y0 = eps if comp.r_m == 0.0 else 1.0 - eps
         # flow of the free coordinate along each adjacent edge, just inside
-        e_m_near = _edge_residual(params, "m", y0, comp.r_w)
-        e_w_near = _edge_residual(params, "w", x0, comp.r_m)
-        m_attracts = e_m_near < 0 if comp.r_m == 0.0 else e_m_near > 0
-        w_attracts = e_w_near < 0 if comp.r_w == 0.0 else e_w_near > 0
-        if m_attracts and w_attracts:
-            return BOUNDARY_STABLE, None
-        return SADDLE, None
+        for i, g in enumerate(_groups(params)):
+            at_zero = coords[i] == 0.0
+            e = g.component(1e-6 if at_zero else 1.0 - 1e-6, coords[1 - i])
+            if not (e < 0 if at_zero else e > 0):
+                return SADDLE, None
+        return BOUNDARY_STABLE, None
 
     raise ValueError(f"unknown equilibrium kind {kind!r}")
 
@@ -823,19 +736,12 @@ def enumerate_equilibria(
 
     # boundary candidates take precedence over interior Newton output that
     # drifted numerically close to a wall
-    for edge_kind in (EDGE_W0, EDGE_W1, EDGE_M0, EDGE_M1):
-        if edge_kind in (EDGE_W0, EDGE_W1):
-            clamped_w = 0.0 if edge_kind == EDGE_W0 else 1.0
-            for root in _edge_roots(params, "m", clamped_w):
-                cand = Composition(clamped_w, root)
-                if _corner_filter(params, cand):
-                    _push(clamped_w, root, edge_kind)
-        else:
-            clamped_m = 0.0 if edge_kind == EDGE_M0 else 1.0
-            for root in _edge_roots(params, "w", clamped_m):
-                cand = Composition(root, clamped_m)
-                if _corner_filter(params, cand):
-                    _push(root, clamped_m, edge_kind)
+    groups = _groups(params)
+    for edge_kind, (free, clamp) in _EDGES.items():
+        for root in _roots_along(groups[free], clamp):
+            px, py = (root, clamp) if free == 0 else (clamp, root)
+            if _corner_filter(params, Composition(px, py)):
+                _push(px, py, edge_kind)
 
     for vx in (0.0, 1.0):
         for vy in (0.0, 1.0):
@@ -865,19 +771,19 @@ def _corner_filter(params: ModelParams, cand: Composition) -> bool:
         return False
 
 
-def _edge_roots(params: ModelParams, free_side: str, clamped_other: float) -> list[float]:
-    """All interior roots of the free coordinate's equation along one edge."""
+def _roots_along(g: _Group, other: float) -> list[float]:
+    """All interior roots of one group's equation at a fixed partner fraction.
+
+    Along an edge the partner sits at its clamp; the Gauss-Seidel sweep of
+    solve_from_seed holds it at its current value.
+    """
     t = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    if free_side == "w":
-        vals = _component_w(params, t, clamped_other)
-    else:
-        vals = _component_m(params, t, clamped_other)
-    vals = np.asarray(vals)
+    vals = g.component(t, other)
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     roots = []
     for i in flips:
         r = _bisect(
-            lambda v: _edge_residual(params, free_side, v, clamped_other),
+            lambda v: g.component(v, other),
             float(t[i]),
             float(t[i + 1]),
             want_sign_low=math.copysign(1.0, vals[i]),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -288,12 +288,6 @@ def advantage_quantile(adv: AdvantageSpec, p):
     return out
 
 
-def _quantile_scalar(C: float, r_e: float, beta: float, p: float) -> float:
-    """Scalar fast path for advantage_quantile, used by 1-D solver loops."""
-    u = 1.0 - p
-    return C * (p - (1.0 - r_e)) / math.pow(u * (1.0 - u), beta)
-
-
 def advantage_cdf(adv: AdvantageSpec, d):
     """Probability that the advantage is at most d, by inverting the quantile.
 
@@ -367,8 +361,3 @@ def sector_shares(comp: Composition, params: ModelParams) -> SectorShares:
     else:
         w2 = m2 = math.nan
     return SectorShares(w1, m1, w2, m2)
-
-
-def _replace_params(params: ModelParams, **kw) -> ModelParams:
-    """dataclasses.replace that revalidates nested specs."""
-    return replace(params, **kw)

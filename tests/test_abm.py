@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roylab import abm
+from roylab.equilibrium import solve_closed_form_beta1
 from roylab.model import Composition, make_params
 from roylab.abm import (
     AgentPopulation,
@@ -39,7 +40,9 @@ def test_single_agent_population_is_valid():
     p = make_params(**BENCH)
     pop = sample_population(p, 1, 1, seed=0)
     assert pop.size == 2
-    assert len(pop.agents) == 2
+    assert len(pop.is_w) == len(pop.delta) == len(pop.sector) == 2
+    assert int(np.count_nonzero(pop.is_w)) == 1
+    assert set(pop.sector.tolist()) <= {1, 2}
     assert pop.shares().r_w in (0.0, 1.0)
 
 
@@ -105,6 +108,20 @@ def test_segregated_corner_is_absorbing_for_thin_tails():
     assert rep.shares.r_w == 0.0 and rep.shares.r_m == 1.0
 
 
+def test_indifferent_group_enters_a_sector_without_its_members():
+    # c_w = 0: W agents sort on their draws alone, so they leave the empty
+    # W side of sector 1 although it holds M agents
+    p = make_params(**dict(BENCH, c_w=0.0))
+    pop = sample_population(p, 100_000, 100_000, seed=1, init_comp=Composition(0.0, 0.5))
+    rep = run_to_convergence(pop, p)
+    assert rep.converged
+    assert deviation_count(rep.population, p) == 0
+    target = solve_closed_form_beta1(p).point.comp
+    tol = 5.0 / np.sqrt(100_000)
+    assert abs(rep.shares.r_w - target.r_w) < tol
+    assert abs(rep.shares.r_m - target.r_m) < tol
+
+
 def test_summary_dict_layout():
     p = make_params(**BENCH)
     pop = sample_population(p, 50, 60, seed=1)
@@ -122,7 +139,8 @@ def reference_round(pop, params, order_seed):
     """Agent-by-agent sequential sweep: the semantics best_response_round replays.
 
     Visits every agent in the seeded order, recomputes both minority
-    penalties from the current masses and switches on a strict gain.
+    penalties from the current masses and switches on a strict gain. A group
+    without a composition term (sigma * c = 0) has threshold 0 everywhere.
     """
     rng = np.random.default_rng(order_seed)
     order = rng.permutation(pop.size).tolist()
@@ -157,19 +175,22 @@ def reference_round(pop, params, order_seed):
         own2 = m2w if w_agent else m2m
         tot1 = m1w + m1m
         tot2 = m2w + m2m
-        if tot1 <= 0.0:
-            h1 = 0.0
-        elif own1 <= 0.0:
-            h1 = inf
-        else:
-            h1 = c * tot1 / own1
-        if tot2 <= 0.0:
-            h2 = 0.0
-        elif own2 <= 0.0:
-            h2 = inf
-        else:
-            h2 = c * tot2 / own2
-        gap = dl[i] - sigma * (h1 - h2)
+        threshold = 0.0
+        if sigma * c != 0.0:
+            if tot1 <= 0.0:
+                h1 = 0.0
+            elif own1 <= 0.0:
+                h1 = inf
+            else:
+                h1 = c * tot1 / own1
+            if tot2 <= 0.0:
+                h2 = 0.0
+            elif own2 <= 0.0:
+                h2 = inf
+            else:
+                h2 = c * tot2 / own2
+            threshold = sigma * (h1 - h2)
+        gap = dl[i] - threshold
         if sec[i] == 2:
             if gap > 0.0:
                 sec[i] = 1
@@ -231,6 +252,7 @@ ROUND_CASES = {
     "sigma = 0": (dict(BENCH, sigma=0.0), 500, 400, Composition(0.9, 0.1), 1000),
     "c = 0": (dict(BENCH, c_w=0.0, c_m=0.0), 500, 400, Composition(0.9, 0.1), 1000),
     "one group indifferent": (dict(BENCH, c_w=0.0), 800, 600, Composition(0.0, 0.0), 1000),
+    "c_w = 0, start (0, 0.5)": (dict(BENCH, c_w=0.0), 500, 500, Composition(0.0, 0.5), 1000),
     "sector 1 empty": (BENCH, 400, 300, Composition(0.0, 0.0), 1000),
     "sector 2 empty": (BENCH, 400, 300, Composition(1.0, 1.0), 1000),
     "one agent per group": (BENCH, 1, 1, None, 1000),

@@ -162,6 +162,16 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["solve", "--config", cfg]) == 2
 
 
+def test_threads_flag_and_key_exit_2(tmp_path):
+    # basins integrates every cell in one batch; there is no worker count
+    cfg = write_config(tmp_path, "cfg.json", {"params": BENCH_PARAMS})
+    with pytest.raises(SystemExit) as exc:
+        main(["basins", "--config", cfg, "--threads", "2"])
+    assert exc.value.code == 2
+    keyed = write_config(tmp_path, "keyed.json", {"params": BENCH_PARAMS, "threads": 2})
+    assert main(["basins", "--config", keyed]) == 2
+
+
 def test_bad_params_exit_2(tmp_path):
     bad = dict(BENCH_PARAMS, mu_w=-1.0)
     cfg = write_config(tmp_path, "cfg.json", {"params": bad})

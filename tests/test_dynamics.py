@@ -1,10 +1,13 @@
 import collections
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roylab.model import Composition, make_params
-from roylab.equilibrium import enumerate_equilibria
+from roylab import dynamics
+from roylab.model import Composition, ModelParams, make_params
+from roylab.equilibrium import _groups, enumerate_equilibria
 from roylab.dynamics import (
     basins,
     flow,
@@ -110,6 +113,81 @@ def test_integrate_validates_step():
     p = make_params(**SEVENTEEN)
     with pytest.raises(ValueError):
         integrate(p, Composition(0.5, 0.5), t_end=1.0, dt=2.0)
+
+
+def reference_integrate(params, init, t_end=500.0, dt=0.01):
+    """integrate's RK4 loop as it was written before the step was shared with basins."""
+    groups = _groups(params)
+    n_steps = int(round(t_end / dt))
+    xs = [init.r_w]
+    ys = [init.r_m]
+    ts = [0.0]
+    x, y = init.r_w, init.r_m
+    quiet = 0
+    for k in range(n_steps):
+        k1 = dynamics._field_capped(groups, x, y)
+        x2, y2 = np.clip(x + 0.5 * dt * k1[0], 0.0, 1.0), np.clip(y + 0.5 * dt * k1[1], 0.0, 1.0)
+        k2 = dynamics._field_capped(groups, x2, y2)
+        x3, y3 = np.clip(x + 0.5 * dt * k2[0], 0.0, 1.0), np.clip(y + 0.5 * dt * k2[1], 0.0, 1.0)
+        k3 = dynamics._field_capped(groups, x3, y3)
+        x4, y4 = np.clip(x + dt * k3[0], 0.0, 1.0), np.clip(y + dt * k3[1], 0.0, 1.0)
+        k4 = dynamics._field_capped(groups, x4, y4)
+        x = x + dt / 6.0 * float(k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        y = y + dt / 6.0 * float(k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        assert np.isfinite(x) and np.isfinite(y)
+        x = min(max(x, 0.0), 1.0)
+        y = min(max(y, 0.0), 1.0)
+        xs.append(x)
+        ys.append(y)
+        ts.append((k + 1) * dt)
+        vx, vy = dynamics._field(groups, x, y)
+        if max(abs(float(vx)), abs(float(vy))) < dynamics._STOP_SPEED:
+            quiet += 1
+            if quiet >= dynamics._STOP_RUNS:
+                break
+        else:
+            quiet = 0
+    return np.array(ts), np.column_stack([xs, ys]), Composition(x, y), quiet >= dynamics._STOP_RUNS
+
+
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", BUNDLED, ids=lambda path: path.stem)
+def test_integrate_matches_scalar_loop_and_batch(config):
+    p = ModelParams.from_dict(json.loads(config.read_text())["params"])
+    starts = ((0.2, 0.8), (0.5, 0.5), (0.9, 0.1), (0.0, 1.0))
+    bx, by, bdone = dynamics._integrate_batch(p, *zip(*starts), 500.0, 0.01)
+    for k, start in enumerate(starts):
+        traj = integrate(p, Composition(*start))
+        times, states, terminal, converged = reference_integrate(p, Composition(*start))
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert traj.terminal == terminal
+        assert traj.converged == converged
+        # the batch loop runs the same step on arrays, where numpy's vector
+        # power may round differently from the scalar one in the last bit
+        assert bdone[k] == converged
+        assert abs(bx[k] - terminal.r_w) < 1e-12 and abs(by[k] - terminal.r_m) < 1e-12
+
+
+def test_non_finite_step_raises_with_last_finite_state(monkeypatch):
+    p = make_params(**FAT_TAILS)
+    field = dynamics._field_capped
+    calls = []
+
+    def poisoned(groups, x, y):
+        # the fourth stage of the third step returns NaN
+        calls.append(None)
+        vx, vy = field(groups, x, y)
+        return (vx * np.nan, vy) if len(calls) == 12 else (vx, vy)
+
+    monkeypatch.setattr(dynamics, "_field_capped", poisoned)
+    clean = reference_integrate(p, Composition(0.5, 0.5), t_end=0.02)[1][-1]
+    calls.clear()
+    with pytest.raises(dynamics.IntegrationError, match="after step 3") as exc:
+        integrate(p, Composition(0.5, 0.5), t_end=1.0)
+    assert exc.value.last == tuple(clean)
 
 
 # ---------------------------------------------------------------------------

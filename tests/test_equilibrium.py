@@ -210,6 +210,20 @@ def test_seed_in_corner_basin_rejects_or_lands_on_known_interior():
         assert (round(pt.comp.r_w, 8), round(pt.comp.r_m, 8)) in interior
 
 
+def test_seed_where_newton_stalls_is_rescued_by_scalar_sweep():
+    # fat tails: from a seed on the W = 0 wall damped Newton stalls near
+    # (0.38, 0.75), where the residual norm has a local minimum but no root;
+    # the Gauss-Seidel sweep still reaches the unique equilibrium
+    from roylab.equilibrium import _newton_batch
+
+    p = make_params(c_w=3.5, c_m=3.5, beta=2.0, re_w=0.7, re_m=0.5)
+    assert not _newton_batch(p, [1e-6], [0.5], 1e-10)[2][0]
+    (only,) = enumerate_equilibria(p, grid_n=32)
+    pt = solve_from_seed(p, Composition(1e-6, 0.5))
+    assert pt is not None and pt.stability == STABLE
+    assert max(abs(pt.comp.r_w - only.comp.r_w), abs(pt.comp.r_m - only.comp.r_m)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # verify_corner
 # ---------------------------------------------------------------------------
@@ -419,3 +433,59 @@ def test_small_scale_uniqueness_sampled():
         beta = rng.uniform(1.1, 2.4)
         p = make_params(c_w=c, c_m=c, beta=beta, re_w=re_w, re_m=re_m)
         assert unique_scale_by_halving(p) is not None
+
+
+# ---------------------------------------------------------------------------
+# analytic partials against the central differences they replace
+# ---------------------------------------------------------------------------
+
+
+def central_difference_jacobian(params, x, y, step=1e-6):
+    """The flow Jacobian as classify_stability took it before the exact partials."""
+    from roylab.equilibrium import residual_arrays
+
+    hx = min(step, x / 2, (1.0 - x) / 2)
+    hy = min(step, y / 2, (1.0 - y) / 2)
+    ew_xp, em_xp = residual_arrays(params, x + hx, y)
+    ew_xm, em_xm = residual_arrays(params, x - hx, y)
+    ew_yp, em_yp = residual_arrays(params, x, y + hy)
+    ew_ym, em_ym = residual_arrays(params, x, y - hy)
+    return np.array(
+        [
+            [(ew_xp - ew_xm) / (2 * hx), (ew_yp - ew_ym) / (2 * hy)],
+            [(em_xp - em_xm) / (2 * hx), (em_yp - em_ym) / (2 * hy)],
+        ],
+        dtype=float,
+    )
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, 1.7, 2.4])
+def test_exact_flow_jacobian_matches_central_differences(beta):
+    from roylab.equilibrium import _flow_jacobian
+
+    # unequal masses, strengths and scales, so no entry is symmetric by accident
+    p = make_params(mu_w=0.8, mu_m=1.3, c_w=0.35, c_m=0.9, C_w=1.4, C_m=0.6,
+                    beta=beta, re_w=0.3, re_m=0.65)
+    axis = np.concatenate([[0.01, 0.02, 0.05], np.linspace(0.1, 0.9, 9), [0.95, 0.98, 0.99]])
+    for x in axis:
+        for y in axis:
+            exact = np.reshape(_flow_jacobian(p, x, y), (2, 2))
+            ref = central_difference_jacobian(p, x, y)
+            scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(exact - ref) <= 1e-6 * np.abs(ref) + 1e-9 * scale), (x, y)
+
+
+def test_edge_derivative_matches_central_difference():
+    from roylab.equilibrium import _EDGES, _groups
+
+    # the edge points of the 17-point census, where only the free coordinate moves
+    p = make_params(**SEVENTEEN)
+    edges = [e for e in enumerate_equilibria(p, grid_n=64) if e.kind in _EDGES]
+    assert len(edges) == 8
+    for e in edges:
+        free, clamp = _EDGES[e.kind]
+        g = _groups(p)[free]
+        v = (e.comp.r_w, e.comp.r_m)[free]
+        h = min(1e-6, v / 2, (1.0 - v) / 2)
+        ref = (g.component(v + h, clamp) - g.component(v - h, clamp)) / (2 * h)
+        assert e.eigenvalues[0].real == pytest.approx(ref, rel=1e-6)
