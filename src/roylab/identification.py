@@ -15,6 +15,7 @@ that place no equilibrium at the observed composition, are rejected.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -22,16 +23,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import enumerate_equilibria, solve_closed_form_beta1
+from .equilibrium import (
+    _EDGES,
+    _corner_filter,
+    _groups,
+    _newton_batch,
+    _roots_along,
+    solve_closed_form_beta1,
+)
 from .model import (
     AdvantageSpec,
     Composition,
     ModelParams,
+    PreferenceSpec,
     TypeId,
     advantage_cdf,
     advantage_quantile,
     g_interior,
-    make_params,
 )
 
 __all__ = [
@@ -58,6 +66,11 @@ SLACK_TOL = -1e-9
 _QUAD_NODES = 64
 _QUAD_SPAN = 8.0  # integration half-width in noise scales
 
+#: residual tolerance of the consistency check's Newton solve, as in the census
+_NEWTON_TOL = 1e-10
+#: Newton seeds are clipped this far inside the square
+_SEED_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -77,9 +90,16 @@ class NoiseSpec:
             raise ValueError(f"{self.family} noise requires a positive scale")
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights approximating integration against the noise law."""
+        """Nodes and weights approximating integration against the noise law.
+
+        Computed once per spec; the arrays are read-only.
+        """
+        return self._quadrature
+
+    @functools.cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         if self.family == "degenerate":
-            return np.array([0.0]), np.array([1.0])
+            return _read_only(np.array([0.0]), np.array([1.0]))
         x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
         half = _QUAD_SPAN * self.scale
         nodes = x * half
@@ -91,7 +111,13 @@ class NoiseSpec:
                 self.scale * math.sqrt(2.0 * math.pi)
             )
         weights = w * half * dens
-        return nodes, weights
+        return _read_only(nodes, weights)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -186,22 +212,27 @@ class CandidateParams:
     beta: float = 1.0
 
     def to_model_params(self, pop_ratio: float) -> ModelParams:
-        return make_params(
-            mu_w=pop_ratio,
+        adv_w, adv_m = self._advs
+        return ModelParams(
+            mu_w=float(pop_ratio),
             mu_m=1.0,
-            c_w=self.c_w,
-            c_m=self.c_m,
-            C_w=self.C_w,
-            C_m=self.C_m,
-            beta=self.beta,
-            re_w=self.re_w,
-            re_m=self.re_m,
+            pref_w=PreferenceSpec(float(self.c_w)),
+            pref_m=PreferenceSpec(float(self.c_m)),
+            adv_w=adv_w,
+            adv_m=adv_m,
         )
 
     def adv(self, t: TypeId) -> AdvantageSpec:
-        if t is TypeId.W:
-            return AdvantageSpec(self.C_w, self.re_w, self.beta)
-        return AdvantageSpec(self.C_m, self.re_m, self.beta)
+        return self._advs[0 if t is TypeId.W else 1]
+
+    @functools.cached_property
+    def _advs(self) -> tuple[AdvantageSpec, AdvantageSpec]:
+        """The (W, M) advantage laws, built and certified once per candidate."""
+        beta = float(self.beta)
+        return (
+            AdvantageSpec(float(self.C_w), float(self.re_w), beta),
+            AdvantageSpec(float(self.C_m), float(self.re_m), beta),
+        )
 
     def pref_strength(self, t: TypeId) -> float:
         return self.c_w if t is TypeId.W else self.c_m
@@ -374,16 +405,49 @@ def equilibrium_consistent(
     tol: float,
     grid_n: int = 16,
 ) -> bool:
-    """Whether some equilibrium of the candidate sits near the observed state."""
+    """Whether some equilibrium of the candidate sits near the observed state.
+
+    Answers for the census of enumerate_equilibria at grid_n, restricted to
+    the box of L-infinity radius tol around the observed composition, and
+    stops at the first equilibrium found there. Vertices are tested and
+    edges scanned only when they reach into the box. Damped Newton starts
+    from a 3 x 3 stencil spanning the box, whose centre is the observed
+    point, and from the census lattice centres inside the box, so at
+    tol = 1 it runs from the census lattice again. A stencil seed near a
+    wall can reach an equilibrium hugging that wall which the census lattice
+    misses; the verdict is then True where the census says False.
+    """
+    if grid_n < 16:
+        raise ValueError(f"grid_n must be at least 16, got {grid_n}")
     params = candidate.to_model_params(data.pop_ratio)
-    comp = data.observed_comp
-    for eq in enumerate_equilibria(params, grid_n=grid_n):
-        if (
-            max(abs(eq.comp.r_w - comp.r_w), abs(eq.comp.r_m - comp.r_m))
-            <= tol
-        ):
+    obs = ox, oy = data.observed_comp.r_w, data.observed_comp.r_m
+
+    def near(comp: Composition) -> bool:
+        return max(abs(comp.r_w - ox), abs(comp.r_m - oy)) <= tol
+
+    for vertex in (Composition(0.0, 0.0), Composition(0.0, 1.0),
+                   Composition(1.0, 0.0), Composition(1.0, 1.0)):
+        if near(vertex) and _corner_filter(params, vertex):
             return True
-    return False
+
+    groups = _groups(params)
+    for free, clamp in _EDGES.values():
+        if abs(obs[1 - free] - clamp) > tol:
+            continue  # the wall does not reach into the box
+        for root in _roots_along(groups[free], clamp):
+            comp = Composition(root, clamp) if free == 0 else Composition(clamp, root)
+            if near(comp) and _corner_filter(params, comp):
+                return True
+
+    centres = (np.arange(grid_n) + 0.5) / grid_n
+    sx, sy = np.meshgrid([ox - tol, ox, ox + tol], [oy - tol, oy, oy + tol], indexing="ij")
+    lx, ly = np.meshgrid(
+        centres[np.abs(centres - ox) <= tol], centres[np.abs(centres - oy) <= tol], indexing="ij"
+    )
+    x0 = np.clip(np.concatenate([sx.ravel(), lx.ravel()]), _SEED_EPS, 1.0 - _SEED_EPS)
+    y0 = np.clip(np.concatenate([sy.ravel(), ly.ravel()]), _SEED_EPS, 1.0 - _SEED_EPS)
+    x, y, ok = _newton_batch(params, x0, y0, _NEWTON_TOL)
+    return bool(np.any(ok & (np.maximum(np.abs(x - ox), np.abs(y - oy)) <= tol)))
 
 
 def default_y_grid(data: ObservedData, n: int = 50) -> np.ndarray:

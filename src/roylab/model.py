@@ -291,14 +291,15 @@ def advantage_quantile(adv: AdvantageSpec, p):
 def advantage_cdf(adv: AdvantageSpec, d):
     """Probability that the advantage is at most d, by inverting the quantile.
 
-    Bracketed bisection in probability space to 1e-12, with geometric bracket
-    expansion toward 0 and 1 for values deep in the tails. d = 0 maps to
-    1 - r_e exactly. Accepts scalars or arrays.
+    At unit tail exponent the inverse is the root of a quadratic in p, taken
+    in closed form; other exponents bisect in probability space. d = 0 maps
+    to 1 - r_e exactly, +-inf to 1 and 0, and NaN to NaN. Accepts scalars or
+    arrays.
     """
     d_arr = np.asarray(d, dtype=float)
     scalar = np.isscalar(d) or d_arr.ndim == 0
     d_arr = np.atleast_1d(d_arr).astype(float)
-    out = np.empty_like(d_arr)
+    out = np.full_like(d_arr, math.nan)
 
     out[np.isposinf(d_arr)] = 1.0
     out[np.isneginf(d_arr)] = 0.0
@@ -307,29 +308,56 @@ def advantage_cdf(adv: AdvantageSpec, d):
 
     todo = np.isfinite(d_arr) & ~exact_zero
     if np.any(todo):
-        dv = d_arr[todo]
-        lo = np.full(dv.shape, 0.25)
-        hi = np.full(dv.shape, 0.75)
-        for _ in range(600):
-            mask = advantage_quantile(adv, lo) > dv
-            if not np.any(mask):
-                break
-            lo[mask] *= 0.5
-        for _ in range(600):
-            mask = advantage_quantile(adv, hi) < dv
-            if not np.any(mask):
-                break
-            hi[mask] = 1.0 - 0.5 * (1.0 - hi[mask])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = advantage_quantile(adv, mid) < dv
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[todo] = 0.5 * (lo + hi)
+        invert = _cdf_unit_tail if adv.beta == 1.0 else _cdf_bisect
+        out[todo] = invert(adv, d_arr[todo])
 
     if scalar:
         return float(out[0])
     return out.reshape(np.shape(d))
+
+
+def _cdf_unit_tail(adv: AdvantageSpec, dv: np.ndarray) -> np.ndarray:
+    """Exact CDF at beta = 1 for finite nonzero advantages dv.
+
+    The quantile equals d where a p^2 + b p - c = 0 with a = d, b = C - d and
+    c = C (1 - r_e), all divided by C + |d| so squaring cannot overflow. The
+    root in (0, 1) is written in whichever of its two forms adds terms of
+    equal sign, so neither cancels; the denominator of the chosen form is
+    positive.
+    """
+    s = adv.C + np.abs(dv)
+    a = dv / s
+    b = (adv.C - dv) / s
+    c = adv.C * (1.0 - adv.r_e) / s
+    sq = np.sqrt(b * b + 4.0 * a * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b >= 0.0, 2.0 * c / (b + sq), (sq - b) / (2.0 * a))
+
+
+def _cdf_bisect(adv: AdvantageSpec, dv: np.ndarray) -> np.ndarray:
+    """CDF for finite nonzero advantages dv by bisection, for any beta.
+
+    Bracketed bisection in probability space to 1e-12, with geometric
+    bracket expansion toward 0 and 1 for values deep in the tails.
+    """
+    lo = np.full(dv.shape, 0.25)
+    hi = np.full(dv.shape, 0.75)
+    for _ in range(600):
+        mask = advantage_quantile(adv, lo) > dv
+        if not np.any(mask):
+            break
+        lo[mask] *= 0.5
+    for _ in range(600):
+        mask = advantage_quantile(adv, hi) < dv
+        if not np.any(mask):
+            break
+        hi[mask] = 1.0 - 0.5 * (1.0 - hi[mask])
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = advantage_quantile(adv, mid) < dv
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def gammas(params: ModelParams) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roylab.equilibrium import enumerate_equilibria
 from roylab.model import Composition, TypeId, advantage_cdf, advantage_quantile, make_params
 from roylab.identification import (
     CandidateParams,
@@ -230,6 +231,101 @@ def test_equilibrium_consistency_verdicts():
     assert equilibrium_consistent(corner_regime, data, tol=1.0)
 
 
+def census_consistent(candidate, data, tol, grid_n=16):
+    """The census version of equilibrium_consistent, kept as its oracle."""
+    params = candidate.to_model_params(data.pop_ratio)
+    return any_within(enumerate_equilibria(params, grid_n=grid_n), data.observed_comp, tol)
+
+
+def any_within(points, comp, tol):
+    return any(
+        max(abs(p.comp.r_w - comp.r_w), abs(p.comp.r_m - comp.r_m)) <= tol for p in points
+    )
+
+
+def observed_at(r_w, r_m, pop_ratio):
+    # the consistency check reads only the observed composition and mass ratio
+    return ObservedData(
+        is_w=np.array([True, False]),
+        sector=np.array([1, 2], dtype=np.int8),
+        income=np.array([1.0, 1.0]),
+        observed_comp=Composition(r_w, r_m),
+        pop_ratio=pop_ratio,
+        min_wage=1.0,
+    )
+
+
+def test_consistency_matches_census_on_criterion_8_grid():
+    data = simulate_observed_data(TRUTH, 100_000, seed=801)
+    grid = GridSpec(
+        re_w=GridAxis(0.3, 0.5, 3),
+        re_m=GridAxis(0.5, 0.7, 3),
+        c_w=GridAxis(0.05, 0.15, 3),
+        c_m=GridAxis(0.05, 0.15, 3),
+        C_w=GridAxis(0.8, 1.2, 3),
+        C_m=GridAxis(0.8, 1.2, 3),
+    )
+    cands = list(grid.candidates())
+    local = [equilibrium_consistent(c, data, 0.01) for c in cands]
+    census = [census_consistent(c, data, 0.01) for c in cands]
+    assert local == census
+    assert sum(local) == 20
+
+
+CONSISTENCY_TOLS = (1e-3, 0.01, 0.05, 0.2, 1.0)
+
+
+def random_consistency_draws(n_candidates, seed):
+    """Candidates with beta in {0.5, 1, 1.5, 2} and unequal masses, each drawn
+    with every radius in CONSISTENCY_TOLS. Each draw observes a point near
+    one of the candidate's census equilibria, near a wall, or anywhere."""
+    rng = np.random.default_rng(seed)
+    k = 0
+    while k < n_candidates:
+        try:
+            cand = CandidateParams(
+                re_w=float(rng.uniform(0.05, 0.95)),
+                re_m=float(rng.uniform(0.05, 0.95)),
+                c_w=float(rng.uniform(0.0, 1.5)),
+                c_m=float(rng.uniform(0.0, 1.5)),
+                C_w=float(rng.uniform(0.3, 3.0)),
+                C_m=float(rng.uniform(0.3, 3.0)),
+                beta=float(rng.choice([0.5, 1.0, 1.5, 2.0])),
+            )
+            cand.adv(TypeId.W)
+        except ValueError:
+            continue  # a quantile map that is not monotone
+        pop_ratio = float(np.exp(rng.uniform(-1.2, 1.2)))
+        census = enumerate_equilibria(cand.to_model_params(pop_ratio), grid_n=16)
+        for j, tol in enumerate(CONSISTENCY_TOLS):
+            obs = rng.uniform(0.0, 1.0, 2)
+            kind = (k + j) % 3
+            if kind == 0 and census:
+                eq = census[rng.integers(len(census))].comp
+                obs = np.array([eq.r_w, eq.r_m]) + rng.uniform(-1.5, 1.5, 2) * tol
+            elif kind == 1:
+                wall = rng.uniform(0.0, 1.5 * tol)
+                obs[rng.integers(2)] = wall if rng.integers(2) else 1.0 - wall
+            obs = np.clip(obs, 0.0, 1.0)
+            yield cand, observed_at(float(obs[0]), float(obs[1]), pop_ratio), tol, census
+        k += 1
+
+
+@pytest.mark.filterwarnings("ignore:dropping boundary candidate")
+def test_consistency_matches_census_on_random_draws():
+    verdicts = {True: 0, False: 0}
+    for cand, data, tol, census in random_consistency_draws(100, seed=7):
+        want = any_within(census, data.observed_comp, tol)
+        got = equilibrium_consistent(cand, data, tol)
+        verdicts[got] += 1
+        if got != want:
+            # the grid-16 census misses some equilibria that hug a wall; a
+            # local hit it lacks must then be in a finer census
+            assert got and census_consistent(cand, data, tol, grid_n=128), (cand, data, tol)
+    assert sum(verdicts.values()) == 500
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
 def test_identified_set_round_trip_small_grid():
     data = simulate_observed_data(TRUTH, 30_000, seed=19)
     grid = GridSpec(
@@ -306,3 +402,23 @@ def test_noise_spec_validation():
         NoiseSpec("logistic", 0.0)
     with pytest.raises(ValueError):
         NoiseSpec("cauchy", 1.0)
+
+
+def test_quadrature_is_computed_once_and_read_only():
+    for noise in (NoiseSpec(), NoiseSpec("logistic", 0.3), NoiseSpec("gaussian", 0.5)):
+        nodes, weights = noise.quadrature()
+        assert noise.quadrature()[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
+
+
+def test_candidate_builds_its_advantage_laws_once():
+    cand = CandidateParams(0.4, 0.6, 0.1, 0.2, 1.0, 1.2)
+    assert cand.adv(TypeId.W) is cand.adv(TypeId.W)
+    params = cand.to_model_params(1.5)
+    assert params.adv_w is cand.adv(TypeId.W) and params.adv_m is cand.adv(TypeId.M)
+    assert params == make_params(
+        mu_w=1.5, c_w=0.1, c_m=0.2, C_w=1.0, C_m=1.2, re_w=0.4, re_m=0.6
+    )

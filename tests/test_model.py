@@ -10,6 +10,7 @@ from roylab.model import (
     Composition,
     ModelParams,
     PreferenceSpec,
+    _cdf_bisect,
     advantage_cdf,
     advantage_quantile,
     g_eval,
@@ -182,6 +183,41 @@ def test_quantile_cdf_round_trip_grid():
 def test_quantile_cdf_round_trip_random(p, r_e, beta, C):
     adv = AdvantageSpec(C, r_e, beta)
     assert advantage_cdf(adv, advantage_quantile(adv, p)) == pytest.approx(p, abs=1e-9)
+
+
+def test_unit_tail_cdf_matches_bisection():
+    # the closed form at beta = 1 against the bisection it replaced there
+    rng = np.random.default_rng(17)
+    mags = np.geomspace(1e-12, 1e8, 401)
+    d = np.concatenate([mags, -mags, rng.standard_normal(2000)])
+    for C in (0.8, 1.0, 1.2, 3.0):
+        for r_e in np.arange(1, 10) / 10.0:
+            adv = AdvantageSpec(C, float(r_e), 1.0)
+            assert np.max(np.abs(advantage_cdf(adv, d) - _cdf_bisect(adv, d))) < 1e-12
+
+
+def test_cdf_off_unit_tail_is_the_bisection():
+    mags = np.geomspace(1e-6, 1e4, 50)
+    d = np.concatenate([-mags, [0.3, 2.0], mags])
+    for beta in (0.5, 0.999, 1.001, 1.5, 2.0):
+        adv = AdvantageSpec(1.3, 0.35, beta)
+        assert np.array_equal(advantage_cdf(adv, d), _cdf_bisect(adv, d))
+
+
+def test_advantage_cdf_maps_nan_to_nan():
+    for beta in (1.0, 1.5):
+        adv = AdvantageSpec(1.0, 0.4, beta)
+        got = advantage_cdf(adv, np.array([np.nan, 0.5, np.nan]))
+        assert np.isnan(got[0]) and np.isnan(got[2])
+        assert got[1] == advantage_cdf(adv, 0.5)
+        assert math.isnan(advantage_cdf(adv, math.nan))
+
+
+def test_unit_tail_cdf_in_range_for_huge_arguments():
+    adv = AdvantageSpec(1.0, 0.4, 1.0)
+    low, high = advantage_cdf(adv, np.array([-1e300, 1e300]))
+    assert low == pytest.approx(0.6e-300, rel=1e-12)
+    assert high == 1.0
 
 
 # ---------------------------------------------------------------------------
