@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import EquilibriumPoint, _Group, _groups, enumerate_equilibria
+from .equilibrium import EquilibriumPoint, _axis, _Group, _groups, enumerate_equilibria
 from .model import Composition, ModelParams
 
 __all__ = [
@@ -262,110 +262,24 @@ def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float):
 # ---------------------------------------------------------------------------
 
 
-_NULL_EPS = 1e-9
-_NULL_REFINE_TOL = 1e-8
+def _nullcline(g: _Group, own_axis: int, axis: np.ndarray) -> list[np.ndarray]:
+    """One group's rest curve as polylines inside the square.
 
-
-def _refine_on_segment(f, p0, p1, v0):
-    """Bisect f along the straight segment p0-p1 until |f| < 1e-8."""
-    a, b = np.array(p0, dtype=float), np.array(p1, dtype=float)
-    sign0 = 1.0 if v0 > 0 else -1.0
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        vm = f(mid)
-        if abs(vm) < _NULL_REFINE_TOL:
-            return mid
-        if (1.0 if vm > 0 else -1.0) == sign0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _nullcline_polylines(g: _Group, own_axis: int, n: int) -> list[np.ndarray]:
-    """Zero contour of one group's residual component by marching squares.
-
-    own_axis is the coordinate holding the group's own fraction. Cell-edge
-    crossings are located by sign change, refined by bisection along the
-    grid edge, and chained into polylines.
+    own_axis is the coordinate holding the group's own fraction. The curve
+    partner = g.rest(own) is sampled on the census axis and split where the
+    partner leaves [0, 1]; with k = 0 it is the line own = r_e.
     """
-    axis = np.linspace(_NULL_EPS, 1.0 - _NULL_EPS, n)
-    grid = np.meshgrid(axis, axis, indexing="ij")
-    vals = np.asarray(g.component(grid[own_axis], grid[1 - own_axis]))
-
-    def f(p):
-        own = min(max(p[own_axis], _NULL_EPS), 1 - _NULL_EPS)
-        return float(g.component(own, p[1 - own_axis]))
-
-    segments = []
-
-    def edge_point(i0, j0, i1, j1):
-        v0, v1 = vals[i0, j0], vals[i1, j1]
-        p0 = (axis[i0], axis[j0])
-        p1 = (axis[i1], axis[j1])
-        t = v0 / (v0 - v1)
-        guess = (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-        refined = _refine_on_segment(f, p0, p1, v0)
-        return tuple(refined) if np.isfinite(refined).all() else guess
-
-    for i in range(n - 1):
-        for j in range(n - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            cross = []
-            for a in range(4):
-                (i0, j0), (i1, j1) = corners[a], corners[(a + 1) % 4]
-                v0, v1 = vals[i0, j0], vals[i1, j1]
-                if not (np.isfinite(v0) and np.isfinite(v1)):
-                    continue
-                if v0 == 0.0:
-                    cross.append((axis[i0], axis[j0]))
-                elif v0 * v1 < 0.0:
-                    cross.append(edge_point(i0, j0, i1, j1))
-            if len(cross) == 2:
-                segments.append((cross[0], cross[1]))
-            elif len(cross) == 4:
-                # saddle cell: pair crossings by the sign at the center
-                segments.append((cross[0], cross[1]))
-                segments.append((cross[2], cross[3]))
-
-    return _chain_segments(segments)
-
-
-def _chain_segments(segments) -> list[np.ndarray]:
-    def key(p):
-        return (round(p[0], 7), round(p[1], 7))
-
-    by_end: dict = {}
-    for idx, (a, b) in enumerate(segments):
-        by_end.setdefault(key(a), []).append(idx)
-        by_end.setdefault(key(b), []).append(idx)
-
-    used = set()
-    polylines = []
-    for start in range(len(segments)):
-        if start in used:
-            continue
-        used.add(start)
-        a, b = segments[start]
-        chain = [a, b]
-        # extend forward from b, then backward from a
-        for endpoint, append in ((b, True), (a, False)):
-            cur = endpoint
-            while True:
-                candidates = [i for i in by_end.get(key(cur), []) if i not in used]
-                if not candidates:
-                    break
-                nxt = candidates[0]
-                used.add(nxt)
-                p, q = segments[nxt]
-                step = q if key(p) == key(cur) else p
-                if append:
-                    chain.append(step)
-                else:
-                    chain.insert(0, step)
-                cur = step
-        polylines.append(np.array(chain))
-    return polylines
+    if g.k == 0.0:
+        runs = [(np.full(2, g.r_e), np.array([0.0, 1.0]))]
+    else:
+        partner = g.rest(axis)
+        idx = np.flatnonzero((partner >= 0.0) & (partner <= 1.0))
+        runs = [
+            (axis[run], partner[run])
+            for run in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+            if run.size > 1
+        ]
+    return [np.column_stack(run if own_axis == 0 else run[::-1]) for run in runs]
 
 
 def phase_portrait(
@@ -374,7 +288,11 @@ def phase_portrait(
     grid_n: int | None = None,
     equilibria: list[EquilibriumPoint] | None = None,
 ) -> PhasePortrait:
-    """Vector field on an n x n grid, nullclines, and the equilibrium set."""
+    """Vector field on an n x n grid, nullclines, and the equilibrium set.
+
+    The nullclines are the two rest curves on the census axis of grid_n,
+    which defaults to max(n, 64) like the census itself.
+    """
     if n < 16:
         raise ValueError(f"portrait resolution must be at least 16, got {n}")
     axis = np.linspace(0.0, 1.0, n)
@@ -382,13 +300,14 @@ def phase_portrait(
     g_w, g_m = _groups(params)
     vx, vy = _field((g_w, g_m), gx, gy)
     vel = np.stack([vx, vy], axis=-1)
+    grid_n = grid_n or max(n, 64)
     if equilibria is None:
-        equilibria = enumerate_equilibria(params, grid_n=grid_n or max(n, 64))
+        equilibria = enumerate_equilibria(params, grid_n=grid_n)
     return PhasePortrait(
         axis=axis,
         velocity=vel,
-        nullcline_w=_nullcline_polylines(g_w, 0, max(n, 64)),
-        nullcline_m=_nullcline_polylines(g_m, 1, max(n, 64)),
+        nullcline_w=_nullcline(g_w, 0, _axis(grid_n)),
+        nullcline_m=_nullcline(g_m, 1, _axis(grid_n)),
         equilibria=equilibria,
     )
 

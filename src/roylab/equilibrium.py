@@ -6,10 +6,18 @@ clamped coordinates must instead pass a tail-versus-minority-penalty
 comparison (verify_corner). This module provides a closed form for unit
 tail exponent, a guaranteed monotone iteration, damped Newton from seeds,
 full enumeration over the square, and Jacobian-based stability labels.
+
+The enumeration is one-dimensional. With k > 0 a group's equation is zero
+exactly on its rest curve, the explicit graph partner = own + C (r_e - own)
+(own (1 - own)) ** (1 - beta) / k, so interior equilibria are the crossings
+of the two curves and edge points are the roots of one equation along a
+wall. Every scan runs on one wall-aware axis and bisects each sign change
+down to adjacent floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -141,6 +149,14 @@ class _Group(NamedTuple):
             -self.C * u ** -self.beta * (1.0 + self.beta * (self.r_e - x) * s / u)
             + self.k * (1.0 + (y - x) * s / u) / u
         )
+
+    def rest(self, x):
+        """The partner fraction at which the component vanishes; needs k > 0.
+
+        The component has the sign of rest(x) - y, so the rest curve is the
+        group's nullcline.
+        """
+        return x + self.C * (self.r_e - x) * (x * (1.0 - x)) ** (1.0 - self.beta) / self.k
 
     def d_partner(self, x):
         """Exact partial derivative of the component in the partner fraction."""
@@ -292,20 +308,22 @@ def solve_closed_form_beta1(params: ModelParams) -> ClosedFormResult:
             f"no closed-form region matched (gamma=({g_w}, {g_m}), re=({re_w}, {re_m}))"
         )
 
-    stability, eigs = classify_stability(params, comp, kind)
-    rn = _residual_norm_for(params, comp, kind)
-    point = EquilibriumPoint(comp, kind, stability, eigs, rn)
+    point = _rest_point(params, comp, kind)
     return ClosedFormResult(point, case, any(v == 0.0 for v in boundary_values))
 
 
-def _residual_norm_for(params: ModelParams, comp: Composition, kind: str) -> float:
-    """Residual norm over the free coordinates only (zero for vertices)."""
+def _rest_point(params: ModelParams, comp: Composition, kind: str) -> EquilibriumPoint:
+    """The labelled rest point, with the residual norm over its free
+    coordinates only (zero for vertices)."""
+    stability, eigs = classify_stability(params, comp, kind)
     if kind == INTERIOR:
-        return residual(params, comp).norm
-    if kind not in _EDGES:
-        return 0.0
-    free, clamp = _EDGES[kind]
-    return abs(_groups(params)[free].component((comp.r_w, comp.r_m)[free], clamp))
+        norm = residual(params, comp).norm
+    elif kind in _EDGES:
+        free, clamp = _EDGES[kind]
+        norm = abs(_groups(params)[free].component((comp.r_w, comp.r_m)[free], clamp))
+    else:
+        norm = 0.0
+    return EquilibriumPoint(comp, kind, stability, eigs, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +347,7 @@ def solve_monotone_iteration(
     if re_w > re_m:
         raise ValueError(f"monotone iteration requires re_w <= re_m, got ({re_w}, {re_m})")
     if params.sigma == 0.0:
-        comp = efficient_composition(params)
-        stability, eigs = classify_stability(params, comp, INTERIOR)
-        return EquilibriumPoint(comp, INTERIOR, stability, eigs, residual(params, comp).norm)
+        return _rest_point(params, efficient_composition(params), INTERIOR)
 
     g_w, g_m = _groups(params)
     r_w, r_m = re_w, re_m
@@ -365,8 +381,7 @@ def _finish_monotone(params: ModelParams, r_w: float, r_m: float, tol: float) ->
         raise ConsistencyError(
             f"monotone iteration slid to {comp} but the corner test rejects it"
         )
-    stability, eigs = classify_stability(params, comp, kind)
-    return EquilibriumPoint(comp, kind, stability, eigs, _residual_norm_for(params, comp, kind))
+    return _rest_point(params, comp, kind)
 
 
 _SCAN_FLOOR = 1e-15
@@ -525,8 +540,7 @@ def solve_from_seed(
         comp = _gauss_seidel(params, seed)
         if comp is None or residual(params, comp).norm >= tol:
             return None
-    stability, eigs = classify_stability(params, comp, INTERIOR)
-    return EquilibriumPoint(comp, INTERIOR, stability, eigs, residual(params, comp).norm)
+    return _rest_point(params, comp, INTERIOR)
 
 
 def _gauss_seidel(params: ModelParams, seed: Composition) -> Composition | None:
@@ -536,7 +550,7 @@ def _gauss_seidel(params: ModelParams, seed: Composition) -> Composition | None:
     for _ in range(200):
         step = 0.0
         for i, g in enumerate(groups):
-            roots = _roots_along(g, r[1 - i])
+            roots = _roots_along(g, r[1 - i], _axis(64))
             if not roots:
                 return None
             new = min(roots, key=lambda v: abs(v - r[i]))
@@ -688,79 +702,139 @@ def enumerate_equilibria(
 ) -> list[EquilibriumPoint]:
     """All equilibria found on the closed square, sorted lexicographically.
 
-    Interior points come from batched Newton launched at every cell of a
-    grid_n x grid_n lattice plus the centers of cells where both residual
-    components change sign. Edge candidates are the roots of the free
-    coordinate's scalar equation along each edge, kept when the clamped
-    coordinate passes the corner test; a candidate whose corner tests
-    contradict each other is dropped with a warning. Vertices are kept when
-    both clamps pass. Duplicates merge at L-infinity distance 10 * tol.
+    Every scan runs on one axis: 64 * grid_n uniform points plus 400
+    geometric points toward each wall, from 1e-14 to 2.5e-4. Interior
+    points are the sign changes of X_M(Y_W(x)) - x, the M rest curve after
+    the W one, kept when Y_W(x) lies in (0, 1); a group with k = 0 rests
+    on the line own = r_e, along which the other group's equation is
+    solved. Edge candidates are the roots of the free coordinate's equation
+    along each edge, kept when the clamped coordinate passes the corner
+    test; a candidate whose corner tests contradict each other is dropped
+    with a warning. Vertices are kept when both clamps pass. Vertices,
+    then edge points, then interior points merge at L-infinity distance
+    10 * tol; no other crossing is dropped, whatever its residual norm.
+    """
+    points = [_rest_point(params, Composition(px, py), kind)
+              for px, py, kind in _census(params, grid_n, tol)]
+    points.sort(key=lambda p: (p.comp.r_w, p.comp.r_m))
+    return points
+
+
+def _census(params: ModelParams, grid_n: int, tol: float = 1e-10, box=((0.0, 1.0), (0.0, 1.0))):
+    """The rest points of enumerate_equilibria inside box, as (r_w, r_m, kind).
+
+    box holds the closed (lo, hi) range of each coordinate. Each scan runs
+    only on the axis intervals that meet its range, and walls and vertices
+    out of range are skipped, so a smaller box returns the full census's
+    points inside it, up to a 10 * tol merge across its border.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
+    windows = [_window(_axis(grid_n), lo, hi) for lo, hi in box]
 
-    centers = (np.arange(grid_n) + 0.5) / grid_n
-    gx, gy = np.meshgrid(centers, centers, indexing="ij")
-    seeds_x = [gx.ravel()]
-    seeds_y = [gy.ravel()]
+    def inside(px: float, py: float) -> bool:
+        return box[0][0] <= px <= box[0][1] and box[1][0] <= py <= box[1][1]
 
-    lat = np.linspace(1e-6, 1.0 - 1e-6, grid_n + 1)
-    lx, ly = np.meshgrid(lat, lat, indexing="ij")
-    ew, em = residual_arrays(params, lx, ly)
-    sw, sm = np.sign(ew), np.sign(em)
-
-    def _flips(s):
-        return (
-            (s[:-1, :-1] * s[1:, :-1] < 0)
-            | (s[:-1, :-1] * s[:-1, 1:] < 0)
-            | (s[:-1, :-1] * s[1:, 1:] < 0)
-        )
-
-    both = _flips(sw) & _flips(sm)
-    ii, jj = np.nonzero(both)
-    if ii.size:
-        seeds_x.append((lat[ii] + lat[ii + 1]) / 2.0)
-        seeds_y.append((lat[jj] + lat[jj + 1]) / 2.0)
-
-    x, y, ok = _newton_batch(params, np.concatenate(seeds_x), np.concatenate(seeds_y), tol)
-    interior_pts = np.column_stack([x[ok], y[ok]])
-
-    merge_r = 10.0 * tol
     found: list[tuple[float, float, str]] = []
 
     def _push(px: float, py: float, kind: str):
-        for qx, qy, qkind in found:
-            if max(abs(px - qx), abs(py - qy)) < merge_r:
-                return
-        found.append((px, py, kind))
+        if all(max(abs(px - qx), abs(py - qy)) >= 10.0 * tol for qx, qy, _ in found):
+            found.append((px, py, kind))
 
-    # boundary candidates take precedence over interior Newton output that
-    # drifted numerically close to a wall
+    # vertices before edge roots, and both before interior crossings, so a
+    # root found a hair from a clamp cannot displace the point on it
+    for vx, vy in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
+        if inside(vx, vy) and _corner_filter(params, Composition(vx, vy)):
+            _push(vx, vy, VERTEX)
+
     groups = _groups(params)
     for edge_kind, (free, clamp) in _EDGES.items():
-        for root in _roots_along(groups[free], clamp):
+        if not box[1 - free][0] <= clamp <= box[1 - free][1]:
+            continue
+        for root in _roots_along(groups[free], clamp, windows[free]):
             px, py = (root, clamp) if free == 0 else (clamp, root)
             if _corner_filter(params, Composition(px, py)):
                 _push(px, py, edge_kind)
 
-    for vx in (0.0, 1.0):
-        for vy in (0.0, 1.0):
-            cand = Composition(vx, vy)
-            if _corner_filter(params, cand):
-                _push(vx, vy, VERTEX)
+    for px, py in _rest_crossings(*groups, *windows):
+        _push(px, py, INTERIOR)
+    return [p for p in found if inside(p[0], p[1])]
 
-    for px, py in interior_pts:
-        _push(float(px), float(py), INTERIOR)
 
-    points = []
-    for px, py, kind in found:
-        comp = Composition(px, py)
-        stability, eigs = classify_stability(params, comp, kind)
-        points.append(
-            EquilibriumPoint(comp, kind, stability, eigs, _residual_norm_for(params, comp, kind))
-        )
-    points.sort(key=lambda p: (p.comp.r_w, p.comp.r_m))
-    return points
+#: the partner curve is evaluated this far inside the square at least
+_PARTNER_CLIP = 1e-15
+
+
+def _rest_crossings(g_w: _Group, g_m: _Group, axis_w, axis_m) -> list[tuple[float, float]]:
+    """Interior crossings of the two rest curves, scanned along axis_w.
+
+    A group with k = 0 rests on the vertical line own = r_e, so the other
+    group's equation is solved along that line, on its own axis.
+    """
+    if g_w.k == 0.0:
+        return [(g_w.r_e, y) for y in _roots_along(g_m, g_w.r_e, axis_m)]
+    if g_m.k == 0.0:
+        return [(x, g_m.r_e) for x in _roots_along(g_w, g_m.r_e, axis_w)]
+
+    def gap(x):
+        return g_m.rest(np.clip(g_w.rest(x), _PARTNER_CLIP, 1.0 - _PARTNER_CLIP)) - x
+
+    xs = _crossings(gap, axis_w)
+    ys = g_w.rest(xs)
+    keep = (ys > 0.0) & (ys < 1.0)
+    return list(zip(xs[keep].tolist(), ys[keep].tolist()))
+
+
+@functools.lru_cache(maxsize=8)
+def _axis(grid_n: int) -> np.ndarray:
+    """Scan axis of the census: 64 * grid_n uniform interior points plus
+    400 geometric points from 1e-14 to 2.5e-4 toward each wall; read-only."""
+    uniform = np.linspace(0.0, 1.0, 64 * grid_n + 2)[1:-1]
+    wall = 10.0 ** np.linspace(-14.0, math.log10(2.5e-4), 400)
+    # numpy's sort would map about 256 KB more of its library into memory
+    axis = np.array(sorted(np.concatenate([wall, uniform, 1.0 - wall]).tolist()))
+    axis.flags.writeable = False
+    return axis
+
+
+def _window(axis: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The points of the axis intervals that meet [lo, hi]."""
+    start = max(int(np.searchsorted(axis, lo, side="left")) - 1, 0)
+    return axis[start:int(np.searchsorted(axis, hi, side="right")) + 1]
+
+
+def _crossings(f, axis: np.ndarray) -> np.ndarray:
+    """Ascending roots of a vectorized f on an ascending axis: every sign
+    change, bisected down to adjacent floats, and every exact zero at an
+    axis point but the last.
+
+    Each bracket returns its end with the smaller |f|.
+    """
+    vals = f(axis)
+    sign = np.sign(vals)
+    i = np.nonzero((sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0.0))[0]
+    lo, hi = axis[i], axis[i + 1]
+    f_lo, f_hi = vals[i], vals[i + 1]
+    while lo.size:
+        mid = lo + 0.5 * (hi - lo)
+        split = (mid > lo) & (mid < hi) & (f_lo != 0.0)
+        if not split.any():
+            break
+        f_mid = f(mid)
+        left = split & (np.sign(f_mid) == np.sign(f_lo))
+        right = split & ~left
+        lo, f_lo = np.where(left, mid, lo), np.where(left, f_mid, f_lo)
+        hi, f_hi = np.where(right, mid, hi), np.where(right, f_mid, f_hi)
+    return np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi)
+
+
+def _roots_along(g: _Group, other: float, axis: np.ndarray) -> list[float]:
+    """All roots of one group's equation on the axis at a fixed partner fraction.
+
+    Along an edge the partner sits at its clamp; the Gauss-Seidel sweep of
+    solve_from_seed holds it at its current value.
+    """
+    return _crossings(lambda v: g.component(v, other), axis).tolist()
 
 
 def _corner_filter(params: ModelParams, cand: Composition) -> bool:
@@ -769,26 +843,3 @@ def _corner_filter(params: ModelParams, cand: Composition) -> bool:
     except ConsistencyError as exc:
         warnings.warn(f"dropping boundary candidate {cand}: {exc}", stacklevel=2)
         return False
-
-
-def _roots_along(g: _Group, other: float) -> list[float]:
-    """All interior roots of one group's equation at a fixed partner fraction.
-
-    Along an edge the partner sits at its clamp; the Gauss-Seidel sweep of
-    solve_from_seed holds it at its current value.
-    """
-    t = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    vals = g.component(t, other)
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    roots = []
-    for i in flips:
-        r = _bisect(
-            lambda v: g.component(v, other),
-            float(t[i]),
-            float(t[i + 1]),
-            want_sign_low=math.copysign(1.0, vals[i]),
-        )
-        roots.append(r)
-    exact = np.nonzero(vals == 0.0)[0]
-    roots.extend(float(t[i]) for i in exact)
-    return sorted(roots)

@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import (
-    _EDGES,
-    _corner_filter,
-    _groups,
-    _newton_batch,
-    _roots_along,
-    solve_closed_form_beta1,
-)
+from .equilibrium import _census, solve_closed_form_beta1
 from .model import (
     AdvantageSpec,
     Composition,
@@ -65,11 +58,6 @@ SLACK_TOL = -1e-9
 
 _QUAD_NODES = 64
 _QUAD_SPAN = 8.0  # integration half-width in noise scales
-
-#: residual tolerance of the consistency check's Newton solve, as in the census
-_NEWTON_TOL = 1e-10
-#: Newton seeds are clipped this far inside the square
-_SEED_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -408,46 +396,14 @@ def equilibrium_consistent(
     """Whether some equilibrium of the candidate sits near the observed state.
 
     Answers for the census of enumerate_equilibria at grid_n, restricted to
-    the box of L-infinity radius tol around the observed composition, and
-    stops at the first equilibrium found there. Vertices are tested and
-    edges scanned only when they reach into the box. Damped Newton starts
-    from a 3 x 3 stencil spanning the box, whose centre is the observed
-    point, and from the census lattice centres inside the box, so at
-    tol = 1 it runs from the census lattice again. A stencil seed near a
-    wall can reach an equilibrium hugging that wall which the census lattice
-    misses; the verdict is then True where the census says False.
+    the box of L-infinity radius tol around the observed composition: the
+    same scans, run only on the axis intervals that meet the box, so the
+    verdict is the full census's verdict. grid_n below 16 is rejected.
     """
-    if grid_n < 16:
-        raise ValueError(f"grid_n must be at least 16, got {grid_n}")
     params = candidate.to_model_params(data.pop_ratio)
-    obs = ox, oy = data.observed_comp.r_w, data.observed_comp.r_m
-
-    def near(comp: Composition) -> bool:
-        return max(abs(comp.r_w - ox), abs(comp.r_m - oy)) <= tol
-
-    for vertex in (Composition(0.0, 0.0), Composition(0.0, 1.0),
-                   Composition(1.0, 0.0), Composition(1.0, 1.0)):
-        if near(vertex) and _corner_filter(params, vertex):
-            return True
-
-    groups = _groups(params)
-    for free, clamp in _EDGES.values():
-        if abs(obs[1 - free] - clamp) > tol:
-            continue  # the wall does not reach into the box
-        for root in _roots_along(groups[free], clamp):
-            comp = Composition(root, clamp) if free == 0 else Composition(clamp, root)
-            if near(comp) and _corner_filter(params, comp):
-                return True
-
-    centres = (np.arange(grid_n) + 0.5) / grid_n
-    sx, sy = np.meshgrid([ox - tol, ox, ox + tol], [oy - tol, oy, oy + tol], indexing="ij")
-    lx, ly = np.meshgrid(
-        centres[np.abs(centres - ox) <= tol], centres[np.abs(centres - oy) <= tol], indexing="ij"
-    )
-    x0 = np.clip(np.concatenate([sx.ravel(), lx.ravel()]), _SEED_EPS, 1.0 - _SEED_EPS)
-    y0 = np.clip(np.concatenate([sy.ravel(), ly.ravel()]), _SEED_EPS, 1.0 - _SEED_EPS)
-    x, y, ok = _newton_batch(params, x0, y0, _NEWTON_TOL)
-    return bool(np.any(ok & (np.maximum(np.abs(x - ox), np.abs(y - oy)) <= tol)))
+    obs = data.observed_comp
+    box = ((obs.r_w - tol, obs.r_w + tol), (obs.r_m - tol, obs.r_m + tol))
+    return bool(_census(params, grid_n, box=box))
 
 
 def default_y_grid(data: ObservedData, n: int = 50) -> np.ndarray:

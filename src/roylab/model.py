@@ -338,7 +338,9 @@ def _cdf_bisect(adv: AdvantageSpec, dv: np.ndarray) -> np.ndarray:
     """CDF for finite nonzero advantages dv by bisection, for any beta.
 
     Bracketed bisection in probability space to 1e-12, with geometric
-    bracket expansion toward 0 and 1 for values deep in the tails.
+    bracket expansion toward 0 and 1 for values deep in the tails. The
+    expansion toward 1 stops at the largest double below 1; where the
+    quantile there is still below d the CDF is 1 to double precision.
     """
     lo = np.full(dv.shape, 0.25)
     hi = np.full(dv.shape, 0.75)
@@ -347,17 +349,19 @@ def _cdf_bisect(adv: AdvantageSpec, dv: np.ndarray) -> np.ndarray:
         if not np.any(mask):
             break
         lo[mask] *= 0.5
+    top = np.nextafter(1.0, 0.0)
     for _ in range(600):
         mask = advantage_quantile(adv, hi) < dv
-        if not np.any(mask):
+        if not np.any(mask & (hi < top)):
             break
-        hi[mask] = 1.0 - 0.5 * (1.0 - hi[mask])
+        hi[mask] = np.minimum(1.0 - 0.5 * (1.0 - hi[mask]), top)
+    beyond = advantage_quantile(adv, hi) < dv
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         below = advantage_quantile(adv, mid) < dv
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return np.where(beyond, 1.0, 0.5 * (lo + hi))
 
 
 def gammas(params: ModelParams) -> tuple[float, float]:

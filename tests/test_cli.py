@@ -72,13 +72,16 @@ def test_enumerate_seventeen_config(tmp_path, capsys):
     assert len(stable) == 7
 
 
-def test_outputs_are_byte_identical_between_runs(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json", {"command": "enumerate", "params": BENCH_PARAMS,
+@pytest.mark.parametrize("sub", ["enumerate", "phase"])
+def test_outputs_are_byte_identical_between_runs(tmp_path, sub):
+    cfg = write_config(tmp_path, "cfg.json", {"command": sub, "params": BENCH_PARAMS,
                                               "resolution": 16})
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["enumerate", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["enumerate", "--config", cfg, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([sub, "--config", cfg, "--out", str(out1)]) == 0
+    assert main([sub, "--config", cfg, "--out", str(out2)]) == 0
+    for suffix in (".csv", ".svg") if sub == "phase" else ("",):
+        first = (tmp_path / f"a{suffix}").read_bytes()
+        assert first and first == (tmp_path / f"b{suffix}").read_bytes()
 
 
 def test_phase_writes_csv_and_svg(tmp_path):

@@ -1,11 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from roylab.model import Composition, make_params
+from roylab.model import Composition, ModelParams, make_params
 from roylab.equilibrium import (
     BOUNDARY_STABLE,
     SADDLE,
     STABLE,
+    UNSTABLE,
     classify_stability,
     efficient_composition,
     enumerate_equilibria,
@@ -489,3 +493,153 @@ def test_edge_derivative_matches_central_difference():
         h = min(1e-6, v / 2, (1.0 - v) / 2)
         ref = (g.component(v + h, clamp) - g.component(v - h, clamp)) / (2 * h)
         assert e.eigenvalues[0].real == pytest.approx(ref, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the rest-curve census against the lattice-seeded Newton census it replaces
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def lattice_census(params, grid_n, tol=1e-10):
+    """enumerate_equilibria as it was before the rest-curve census.
+
+    Damped Newton from every cell centre of a grid_n x grid_n lattice and
+    from the centres of cells where both residual components change sign;
+    edge roots from a 4001-point scan of each edge; edge roots merge before
+    vertices, and both before interior points, at distance 10 * tol.
+    """
+    from roylab.equilibrium import (
+        _EDGES, _bisect, _corner_filter, _groups, _newton_batch, residual_arrays,
+    )
+
+    centers = (np.arange(grid_n) + 0.5) / grid_n
+    gx, gy = np.meshgrid(centers, centers, indexing="ij")
+    seeds_x, seeds_y = [gx.ravel()], [gy.ravel()]
+    lat = np.linspace(1e-6, 1.0 - 1e-6, grid_n + 1)
+    lx, ly = np.meshgrid(lat, lat, indexing="ij")
+    ew, em = residual_arrays(params, lx, ly)
+
+    def flips(s):
+        return (
+            (s[:-1, :-1] * s[1:, :-1] < 0)
+            | (s[:-1, :-1] * s[:-1, 1:] < 0)
+            | (s[:-1, :-1] * s[1:, 1:] < 0)
+        )
+
+    ii, jj = np.nonzero(flips(np.sign(ew)) & flips(np.sign(em)))
+    seeds_x.append((lat[ii] + lat[ii + 1]) / 2.0)
+    seeds_y.append((lat[jj] + lat[jj + 1]) / 2.0)
+    x, y, ok = _newton_batch(params, np.concatenate(seeds_x), np.concatenate(seeds_y), tol)
+
+    found = []
+
+    def push(px, py, kind):
+        if all(max(abs(px - qx), abs(py - qy)) >= 10.0 * tol for qx, qy, _ in found):
+            found.append((px, py, kind))
+
+    def edge_roots(g, other):
+        t = np.linspace(1e-9, 1.0 - 1e-9, 4001)
+        vals = g.component(t, other)
+        roots = [
+            _bisect(lambda v: g.component(v, other), float(t[i]), float(t[i + 1]),
+                    want_sign_low=np.sign(vals[i]))
+            for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        ]
+        return sorted(roots + [float(v) for v in t[vals == 0.0]])
+
+    groups = _groups(params)
+    for kind, (free, clamp) in _EDGES.items():
+        for root in edge_roots(groups[free], clamp):
+            px, py = (root, clamp) if free == 0 else (clamp, root)
+            if _corner_filter(params, Composition(px, py)):
+                push(px, py, kind)
+    for vx in (0.0, 1.0):
+        for vy in (0.0, 1.0):
+            if _corner_filter(params, Composition(vx, vy)):
+                push(vx, vy, "vertex")
+    for px, py in zip(x[ok], y[ok]):
+        push(float(px), float(py), "interior")
+
+    points = []
+    for px, py, kind in found:
+        comp = Composition(px, py)
+        label, _ = classify_stability(params, comp, kind)
+        points.append((px, py, kind, label))
+    return sorted(points)
+
+
+def criterion_4_draws():
+    from test_acceptance import ordered_family_draw
+
+    rng = np.random.default_rng(1004)
+    return [ordered_family_draw(rng) for _ in range(500)]
+
+
+def census_inputs(name):
+    """(params, grid_n) of the criterion-4 draws, the thin-tail steps or the configs."""
+    if name == "criterion-4":
+        return [(p, 24) for p in criterion_4_draws()]
+    if name == "thin-tail":
+        return [
+            (make_params(c_w=c, c_m=c, beta=0.05, re_w=0.4, re_m=0.6), 64)
+            for c in (0.011, 0.0438, 0.044, 0.056, 0.062, 0.098, 0.11)
+        ]
+    configs = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+    assert len(configs) == 4
+    return [(ModelParams.from_dict(cfg["params"]), cfg["resolution"]) for cfg in configs]
+
+
+@pytest.mark.filterwarnings("ignore:dropping boundary candidate")
+@pytest.mark.parametrize("inputs", ["criterion-4", "thin-tail", "configs"])
+def test_rest_curve_census_keeps_every_lattice_point(inputs):
+    extra = 0
+    for p, grid_n in census_inputs(inputs):
+        new = [(e.comp.r_w, e.comp.r_m, e.kind, e.stability)
+               for e in enumerate_equilibria(p, grid_n=grid_n)]
+        old = lattice_census(p, grid_n)
+        matched = set()
+        for ox, oy, kind, label in old:
+            hits = [i for i, (nx, ny, nkind, nlabel) in enumerate(new)
+                    if max(abs(nx - ox), abs(ny - oy)) <= 1e-12
+                    and (nkind, nlabel) == (kind, label)]
+            assert hits, (p, grid_n, (ox, oy, kind, label), new)
+            matched.update(hits)
+        unmatched = [row for i, row in enumerate(new) if i not in matched]
+        assert all(row[2] == "interior" for row in unmatched), (p, grid_n, unmatched)
+        extra += len(unmatched)
+    if inputs != "criterion-4":
+        # the thin-tail steps and the configs hold no wall-hugging point
+        assert extra == 0
+
+
+def rest_slope(C, r_e, beta, k, v):
+    """Derivative of the rest curve v + C (r_e - v) (v (1 - v)) ** (1 - beta) / k."""
+    s = v * (1.0 - v)
+    return 1.0 + C * ((1.0 - beta) * (r_e - v) * (1.0 - 2.0 * v) * s ** -beta - s ** (1.0 - beta)) / k
+
+
+@pytest.mark.filterwarnings("ignore:dropping boundary candidate")
+def test_slope_rule_matches_the_interior_labels():
+    # the flow Jacobian at a crossing is a positive diagonal times
+    # [[a, -1], [-1, b]] with a = Y_W', b = X_M': a saddle iff a b < 1,
+    # unstable iff both slopes are positive, stable otherwise
+    checked = 0
+    for p, grid_n in census_inputs("configs") + census_inputs("criterion-4"):
+        k_w = p.sigma * p.pref_w.c * p.mu_m / p.mu_w
+        k_m = p.sigma * p.pref_m.c * p.mu_w / p.mu_m
+        for e in enumerate_equilibria(p, grid_n=grid_n):
+            if e.kind != "interior" or e.stability == "degenerate":
+                continue
+            a = rest_slope(p.adv_w.C, p.adv_w.r_e, p.adv_w.beta, k_w, e.comp.r_w)
+            b = rest_slope(p.adv_m.C, p.adv_m.r_e, p.adv_m.beta, k_m, e.comp.r_m)
+            if a * b < 1.0:
+                want = SADDLE
+            elif a > 0.0 and b > 0.0:
+                want = UNSTABLE
+            else:
+                want = STABLE
+            assert e.stability == want, (p, e, a, b)
+            checked += 1
+    assert checked > 500

@@ -197,11 +197,17 @@ def test_unit_tail_cdf_matches_bisection():
 
 
 def test_cdf_off_unit_tail_is_the_bisection():
-    mags = np.geomspace(1e-6, 1e4, 50)
-    d = np.concatenate([-mags, [0.3, 2.0], mags])
-    for beta in (0.5, 0.999, 1.001, 1.5, 2.0):
+    # up to 1e300 the bracket reaches the largest double below 1 on thin
+    # tails; the CDF is then 1 there, and never leaves [0, 1] or falls
+    mags = np.geomspace(1e-6, 1e300, 50)
+    d = np.sort(np.concatenate([-mags, [0.3, 2.0], mags]))
+    for beta in (0.05, 0.5, 0.999, 1.001, 1.5, 2.0):
         adv = AdvantageSpec(1.3, 0.35, beta)
-        assert np.array_equal(advantage_cdf(adv, d), _cdf_bisect(adv, d))
+        got = advantage_cdf(adv, d)
+        assert np.array_equal(got, _cdf_bisect(adv, d))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.all(np.diff(got) >= 0.0)
+    assert advantage_cdf(AdvantageSpec(1.0, 0.5, 0.05), 5.0) == 1.0
 
 
 def test_advantage_cdf_maps_nan_to_nan():
