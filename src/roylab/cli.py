@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand reads an optional JSON config (--config); explicit flags
-override config values. Numeric output is serialized with 17 significant
-digits so reruns are byte-identical. Exit codes: 0 success, 2 invalid
-input, 3 I/O failure, 4 model/data inconsistency.
+Every subcommand reads an optional JSON config (--config) and registers only
+the flags it reads; explicit flags override config values. Numeric output
+is serialized with 17 significant digits so reruns are byte-identical. Exit
+codes: 0 success, 2 invalid input, 3 I/O failure, 4 model/data
+inconsistency.
 """
 
 from __future__ import annotations
@@ -318,6 +319,18 @@ _COMMANDS = {
 }
 
 
+#: flag -> (the subcommands that read it, its argparse spec); every
+#: subcommand reads --config and --out
+_FLAGS = {
+    "seed": (("oracle",), {"type": int, "help": "random seed (default 0)"}),
+    "resolution": (
+        ("solve", "enumerate", "phase", "basins"),
+        {"type": int, "help": "grid resolution (defaults per command)"},
+    ),
+    "tol": (("solve", "enumerate"), {"type": float, "help": "solver tolerance (default 1e-10)"}),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: parsing leaves it unchanged, and
@@ -340,9 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output path (basename for csv+svg commands); default stdout")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--resolution", type=int, help="grid resolution (defaults per command)")
-        p.add_argument("--tol", type=float, help="solver tolerance (default 1e-10)")
+        for flag, (readers, spec) in _FLAGS.items():
+            if name in readers:
+                p.add_argument(f"--{flag}", **spec)
     return parser
 
 
@@ -358,14 +371,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    for key in ("out", "seed", "resolution", "tol"):
+    for key in ("out", *_FLAGS):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    command = args.command or cfg.get("command")
 
     try:
-        return _COMMANDS[command](cfg)
+        return _COMMANDS[args.command](cfg)
     except DataInconsistentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

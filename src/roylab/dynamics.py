@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import EquilibriumPoint, _axis, _Group, _groups, enumerate_equilibria
+from .equilibrium import _CENSUS_GRID, EquilibriumPoint, _axis, _Group, _groups, enumerate_equilibria
 from .model import Composition, ModelParams
 
 __all__ = [
@@ -135,13 +135,15 @@ def flow(params: ModelParams, comp: Composition) -> np.ndarray:
     return np.array([float(vx), float(vy)])
 
 
-def _snap(terminal: Composition, equilibria, radius=SNAP_RADIUS):
-    best, best_d = None, radius
+def _nearest(equilibria, comp: Composition) -> tuple[EquilibriumPoint | None, float]:
+    """The equilibrium nearest to comp in the L-infinity norm, and its
+    distance; the first of equally near ones, and (None, inf) for none."""
+    best, best_d = None, float("inf")
     for eq in equilibria or []:
-        d = max(abs(terminal.r_w - eq.comp.r_w), abs(terminal.r_m - eq.comp.r_m))
-        if d <= best_d:
+        d = max(abs(comp.r_w - eq.comp.r_w), abs(comp.r_m - eq.comp.r_m))
+        if d < best_d:
             best, best_d = eq, d
-    return best
+    return best, best_d
 
 
 def _rk4_step(groups: tuple[_Group, _Group], x, y, dt: float):
@@ -212,12 +214,13 @@ def integrate(
             quiet = 0
 
     terminal = Composition(x, y)
+    nearest, d = _nearest(equilibria, terminal)
     return Trajectory(
         times=np.arange(len(xs)) * dt,
         states=np.column_stack([xs, ys]),
         terminal=terminal,
         converged=quiet >= _STOP_RUNS,
-        converged_to=_snap(terminal, equilibria),
+        converged_to=nearest if d <= SNAP_RADIUS else None,
     )
 
 
@@ -285,13 +288,12 @@ def _nullcline(g: _Group, own_axis: int, axis: np.ndarray) -> list[np.ndarray]:
 def phase_portrait(
     params: ModelParams,
     n: int,
-    grid_n: int | None = None,
     equilibria: list[EquilibriumPoint] | None = None,
 ) -> PhasePortrait:
     """Vector field on an n x n grid, nullclines, and the equilibrium set.
 
-    The nullclines are the two rest curves on the census axis of grid_n,
-    which defaults to max(n, 64) like the census itself.
+    The nullclines are the two rest curves on the default census axis; the
+    equilibria default to the default census.
     """
     if n < 16:
         raise ValueError(f"portrait resolution must be at least 16, got {n}")
@@ -300,14 +302,13 @@ def phase_portrait(
     g_w, g_m = _groups(params)
     vx, vy = _field((g_w, g_m), gx, gy)
     vel = np.stack([vx, vy], axis=-1)
-    grid_n = grid_n or max(n, 64)
     if equilibria is None:
-        equilibria = enumerate_equilibria(params, grid_n=grid_n)
+        equilibria = enumerate_equilibria(params)
     return PhasePortrait(
         axis=axis,
         velocity=vel,
-        nullcline_w=_nullcline(g_w, 0, _axis(grid_n)),
-        nullcline_m=_nullcline(g_m, 1, _axis(grid_n)),
+        nullcline_w=_nullcline(g_w, 0, _axis(_CENSUS_GRID)),
+        nullcline_m=_nullcline(g_m, 1, _axis(_CENSUS_GRID)),
         equilibria=equilibria,
     )
 
@@ -318,28 +319,26 @@ def basins(
     t_end: float = 500.0,
     dt: float = 0.01,
     equilibria: list[EquilibriumPoint] | None = None,
-    grid_n: int | None = None,
 ) -> BasinMap:
     """Attraction basins on an n x n lattice of cell centers.
 
-    All cells integrate in one lockstep batch. A cell whose terminal state
-    lies farther than SNAP_RADIUS from every equilibrium, for instance after
-    a non-finite step, is labelled -1.
+    All cells integrate in one lockstep batch; the equilibria default to the
+    default census. A cell whose terminal state lies farther than
+    SNAP_RADIUS from every equilibrium, for instance after a non-finite
+    step, is labelled -1.
     """
     if n < 16:
         raise ValueError(f"basin resolution must be at least 16, got {n}")
     if equilibria is None:
-        equilibria = enumerate_equilibria(params, grid_n=grid_n or max(n, 64))
+        equilibria = enumerate_equilibria(params)
     centers = (np.arange(n) + 0.5) / n
     gx, gy = np.meshgrid(centers, centers, indexing="ij")
     tx, ty, _ = _integrate_batch(params, gx.ravel(), gy.ravel(), t_end, dt)
     labels = np.full(tx.shape, -1, dtype=int)
-    pts = np.array([[e.comp.r_w, e.comp.r_m] for e in equilibria])
     for k in range(tx.size):
-        d = np.max(np.abs(pts - [tx[k], ty[k]]), axis=1)
-        j = int(np.argmin(d))
-        if d[j] <= SNAP_RADIUS:
-            labels[k] = j
+        eq, d = _nearest(equilibria, Composition(float(tx[k]), float(ty[k])))
+        if d <= SNAP_RADIUS:
+            labels[k] = equilibria.index(eq)
     return BasinMap(resolution=n, labels=labels.reshape(n, n), equilibria=equilibria)
 
 
@@ -348,8 +347,6 @@ def nudge_and_settle(
     start: Composition,
     floor,
     equilibria: list[EquilibriumPoint] | None = None,
-    t_end: float = 500.0,
-    dt: float = 0.01,
 ) -> NudgeResult:
     """Clamp both fractions into [floor, 1 - floor], then let dynamics settle.
 
@@ -370,13 +367,13 @@ def nudge_and_settle(
         min(max(start.r_w, f_w), 1.0 - f_w),
         min(max(start.r_m, f_m), 1.0 - f_m),
     )
-    traj = integrate(params, post, t_end=t_end, dt=dt, equilibria=equilibria)
+    traj = integrate(params, post, equilibria=equilibria)
     if traj.converged_to is None:
         raise IntegrationError(
             "dynamics did not settle onto an enumerated equilibrium",
             (traj.terminal.r_w, traj.terminal.r_m),
         )
-    origin = _snap(start, equilibria, radius=np.inf)
+    origin, _ = _nearest(equilibria, start)
     tipped = (
         max(
             abs(traj.converged_to.comp.r_w - origin.comp.r_w),

@@ -60,6 +60,10 @@ DEGENERATE = "degenerate"
 #: real parts closer to zero than this are treated as inconclusive
 _EIG_ZERO_TOL = 1e-8
 
+#: census resolution wherever none is given: the roots are bisected to
+#: adjacent floats, so a denser axis finds the same points
+_CENSUS_GRID = 64
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solver ran out of iterations; carries the last iterate."""
@@ -331,9 +335,10 @@ def _rest_point(params: ModelParams, comp: Composition, kind: str) -> Equilibriu
 # ---------------------------------------------------------------------------
 
 
-def solve_monotone_iteration(
-    params: ModelParams, tol: float = 1e-10, max_iter: int = 10_000
-) -> EquilibriumPoint:
+_MONOTONE_SWEEPS = 10_000
+
+
+def solve_monotone_iteration(params: ModelParams, tol: float = 1e-10) -> EquilibriumPoint:
     """Monotone fixed-point construction of an amplified equilibrium.
 
     Starting from the efficient composition, each sweep re-solves the two
@@ -351,7 +356,7 @@ def solve_monotone_iteration(
 
     g_w, g_m = _groups(params)
     r_w, r_m = re_w, re_m
-    for _ in range(max_iter):
+    for _ in range(_MONOTONE_SWEEPS):
         try:
             new_w = _scalar_solve(g_w, r_m, r_w, toward_one=False)
             new_m = _scalar_solve(g_m, r_w, r_m, toward_one=True)
@@ -362,7 +367,7 @@ def solve_monotone_iteration(
         if step < tol:
             return _finish_monotone(params, r_w, r_m, tol)
     raise ConvergenceError(
-        f"monotone iteration did not converge in {max_iter} sweeps", (r_w, r_m)
+        f"monotone iteration did not converge in {_MONOTONE_SWEEPS} sweeps", (r_w, r_m)
     )
 
 
@@ -550,7 +555,7 @@ def _gauss_seidel(params: ModelParams, seed: Composition) -> Composition | None:
     for _ in range(200):
         step = 0.0
         for i, g in enumerate(groups):
-            roots = _roots_along(g, r[1 - i], _axis(64))
+            roots = _roots_along(g, r[1 - i], _axis(_CENSUS_GRID))
             if not roots:
                 return None
             new = min(roots, key=lambda v: abs(v - r[i]))
@@ -698,7 +703,7 @@ def classify_stability(
 
 
 def enumerate_equilibria(
-    params: ModelParams, grid_n: int = 64, tol: float = 1e-10
+    params: ModelParams, grid_n: int = _CENSUS_GRID, tol: float = 1e-10
 ) -> list[EquilibriumPoint]:
     """All equilibria found on the closed square, sorted lexicographically.
 
@@ -713,6 +718,8 @@ def enumerate_equilibria(
     with a warning. Vertices are kept when both clamps pass. Vertices,
     then edge points, then interior points merge at L-infinity distance
     10 * tol; no other crossing is dropped, whatever its residual norm.
+    Since every root is bisected to adjacent floats, grid_n sets the scan
+    density only; below 16 it is rejected.
     """
     points = [_rest_point(params, Composition(px, py), kind)
               for px, py, kind in _census(params, grid_n, tol)]
@@ -720,7 +727,8 @@ def enumerate_equilibria(
     return points
 
 
-def _census(params: ModelParams, grid_n: int, tol: float = 1e-10, box=((0.0, 1.0), (0.0, 1.0))):
+def _census(params: ModelParams, grid_n: int = _CENSUS_GRID, tol: float = 1e-10,
+            box=((0.0, 1.0), (0.0, 1.0))):
     """The rest points of enumerate_equilibria inside box, as (r_w, r_m, kind).
 
     box holds the closed (lo, hi) range of each coordinate. Each scan runs

@@ -56,6 +56,10 @@ __all__ = [
 #: inequalities are violations only beyond this slack
 SLACK_TOL = -1e-9
 
+#: an accepted candidate has an equilibrium within this L-infinity distance
+#: of the observed composition
+CONSISTENCY_TOL = 0.01
+
 _QUAD_NODES = 64
 _QUAD_SPAN = 8.0  # integration half-width in noise scales
 
@@ -387,23 +391,18 @@ def check_inequalities(
     return violations
 
 
-def equilibrium_consistent(
-    candidate: CandidateParams,
-    data: ObservedData,
-    tol: float,
-    grid_n: int = 16,
-) -> bool:
+def equilibrium_consistent(candidate: CandidateParams, data: ObservedData, tol: float) -> bool:
     """Whether some equilibrium of the candidate sits near the observed state.
 
-    Answers for the census of enumerate_equilibria at grid_n, restricted to
+    Answers for the default census of enumerate_equilibria, restricted to
     the box of L-infinity radius tol around the observed composition: the
     same scans, run only on the axis intervals that meet the box, so the
-    verdict is the full census's verdict. grid_n below 16 is rejected.
+    verdict is the full census's verdict.
     """
     params = candidate.to_model_params(data.pop_ratio)
     obs = data.observed_comp
     box = ((obs.r_w - tol, obs.r_w + tol), (obs.r_m - tol, obs.r_m + tol))
-    return bool(_census(params, grid_n, box=box))
+    return bool(_census(params, box=box))
 
 
 def default_y_grid(data: ObservedData, n: int = 50) -> np.ndarray:
@@ -426,23 +425,21 @@ def identified_set(
     data: ObservedData,
     noise: NoiseSpec,
     y_grid,
-    consistency_tol: float = 0.01,
-    grid_n: int = 16,
 ) -> IdentifiedSet:
     """Grid search for parameter vectors surviving all rejection criteria.
 
     A candidate is accepted when every moment inequality holds on the
-    threshold grid and some equilibrium of the implied model lies within
-    consistency_tol of the observed composition. Diagnostics record the
-    worst slack and the consistency verdict for every candidate in
-    deterministic grid order.
+    threshold grid and some equilibrium of the implied model's default
+    census lies within CONSISTENCY_TOL of the observed composition.
+    Diagnostics record the worst slack and the consistency verdict for
+    every candidate in deterministic grid order.
     """
     accepted = []
     diagnostics = []
     for cand in grid.candidates():
         violations = check_inequalities(cand, data, y_grid, noise)
         worst = min((v.slack for v in violations), default=0.0)
-        ok_eq = equilibrium_consistent(cand, data, consistency_tol, grid_n=grid_n)
+        ok_eq = equilibrium_consistent(cand, data, CONSISTENCY_TOL)
         ok = not violations and ok_eq
         if ok:
             accepted.append(cand)

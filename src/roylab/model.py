@@ -280,9 +280,9 @@ def advantage_quantile(adv: AdvantageSpec, p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise ValueError("quantile argument p must lie strictly inside (0, 1)")
-    u = 1.0 - p_arr
-    # numerator written as p - (1 - r_e) so the zero at p = 1 - r_e is exact
-    out = adv.C * (p_arr - (1.0 - adv.r_e)) / (u * (1.0 - u)) ** adv.beta
+    # numerator written as p - (1 - r_e) so the zero at p = 1 - r_e is exact;
+    # the denominator in p itself, so it stays positive for p below 1.1e-16
+    out = adv.C * (p_arr - (1.0 - adv.r_e)) / (p_arr * (1.0 - p_arr)) ** adv.beta
     if np.isscalar(p) or p_arr.ndim == 0:
         return float(out)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import SNAP_RADIUS, integrate, nudge_and_settle
+from .dynamics import SNAP_RADIUS, _nearest, integrate, nudge_and_settle
 from .equilibrium import EquilibriumPoint, enumerate_equilibria
 from .model import Composition, ModelParams, gammas
 
@@ -215,30 +215,17 @@ def _segregation(comp: Composition) -> float:
     return abs(comp.r_w - comp.r_m)
 
 
-def _nearest(eqs: list[EquilibriumPoint], comp: Composition):
-    best, best_d = None, float("inf")
-    for eq in eqs:
-        d = max(abs(eq.comp.r_w - comp.r_w), abs(eq.comp.r_m - comp.r_m))
-        if d < best_d:
-            best, best_d = eq, d
-    return best, best_d
-
-
-def compare(
-    params: ModelParams,
-    policy: Policy,
-    observed: Composition,
-    grid_n: int = 64,
-) -> PolicyReport:
+def compare(params: ModelParams, policy: Policy, observed: Composition) -> PolicyReport:
     """Equilibrium sets before and after a policy, and where the system lands.
 
     The observed composition must sit at a pre-policy equilibrium. Quotas
     settle by clamping the observed state and integrating under unchanged
     parameters; parameter policies integrate from the observed state under
-    the new parameters. Pre-policy equilibria with no post-policy
-    counterpart within MATCH_RADIUS are reported as disappeared.
+    the new parameters. Both equilibrium sets come from the default census.
+    Pre-policy equilibria with no post-policy counterpart within
+    MATCH_RADIUS are reported as disappeared.
     """
-    before = enumerate_equilibria(params, grid_n=grid_n)
+    before = enumerate_equilibria(params)
     origin, d = _nearest(before, observed)
     if origin is None or d > SNAP_RADIUS:
         raise DataInconsistentError(
@@ -247,14 +234,11 @@ def compare(
         )
 
     new_params, clamp = apply_policy(params, policy)
-    after = (
-        before
-        if new_params == params
-        else enumerate_equilibria(new_params, grid_n=grid_n)
-    )
+    after = before if new_params == params else enumerate_equilibria(new_params)
 
     if clamp is not None:
-        settled = nudge_and_settle(params, observed, clamp, equilibria=after).settled
+        nudge = nudge_and_settle(params, observed, clamp, equilibria=after)
+        settled, tipped = nudge.settled, nudge.tipped
     else:
         traj = integrate(new_params, observed, equilibria=after)
         if traj.converged_to is None:
@@ -262,14 +246,13 @@ def compare(
                 "post-policy dynamics did not settle onto an enumerated equilibrium"
             )
         settled = traj.converged_to
-
-    tipped = (
-        max(
-            abs(settled.comp.r_w - origin.comp.r_w),
-            abs(settled.comp.r_m - origin.comp.r_m),
+        tipped = (
+            max(
+                abs(settled.comp.r_w - origin.comp.r_w),
+                abs(settled.comp.r_m - origin.comp.r_m),
+            )
+            > SNAP_RADIUS
         )
-        > SNAP_RADIUS
-    )
     disappeared = [
         eq for eq in before if _nearest(after, eq.comp)[1] > MATCH_RADIUS
     ]
@@ -289,20 +272,20 @@ def sweep_rows(
     param_name: str,
     values,
     observed: Composition | None = None,
-    grid_n: int = 32,
 ) -> list[dict]:
     """Re-enumerate equilibria along a 1-D parameter sweep.
 
-    Each row carries the parameter value, equilibrium and stable counts,
-    the settled composition reached from `observed` (efficient composition
-    when omitted), and a tipped flag meaning the settled point jumped by
-    more than MATCH_RADIUS relative to the previous sweep point.
+    Each row carries the parameter value, equilibrium and stable counts of
+    the default census, the settled composition reached from `observed`
+    (efficient composition when omitted), and a tipped flag meaning the
+    settled point jumped by more than MATCH_RADIUS relative to the previous
+    sweep point.
     """
     rows = []
     prev_settled = None
     for v in values:
         pt = params.with_values(**{param_name: float(v)})
-        eqs = enumerate_equilibria(pt, grid_n=grid_n)
+        eqs = enumerate_equilibria(pt)
         stable = [e for e in eqs if e.stability in ("stable", "boundary-stable")]
         start = observed if observed is not None else Composition(
             pt.adv_w.r_e, pt.adv_m.r_e

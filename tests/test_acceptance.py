@@ -24,7 +24,6 @@ strength and the advantage scale, so strength 0.11 at scale 10 is the same
 model as the companion.
 """
 
-import time
 import math
 import time
 
@@ -479,20 +478,24 @@ def unique_scale_by_halving(p, grid_n=16, max_halvings=40):
     return None
 
 
+def fat_tail_family_draw(rng):
+    """Criterion-5 family: tail exponent above one; invalid laws are redrawn."""
+    while True:
+        re_w = rng.uniform(0.15, 0.5)
+        re_m = rng.uniform(re_w + 0.05, 0.9)
+        c = rng.uniform(0.2, 3.0)
+        beta = rng.uniform(1.1, 2.5)
+        try:
+            return make_params(c_w=c, c_m=c, beta=beta, re_w=re_w, re_m=re_m)
+        except ValueError:
+            continue
+
+
 def test_criterion_5_small_scale_uniqueness_hundred_draws():
     rng = np.random.default_rng(1005)
     failures = 0
     for _ in range(100):
-        while True:
-            re_w = rng.uniform(0.15, 0.5)
-            re_m = rng.uniform(re_w + 0.05, 0.9)
-            c = rng.uniform(0.2, 3.0)
-            beta = rng.uniform(1.1, 2.5)
-            try:
-                p = make_params(c_w=c, c_m=c, beta=beta, re_w=re_w, re_m=re_m)
-                break
-            except ValueError:
-                continue
+        p = fat_tail_family_draw(rng)
         if unique_scale_by_halving(p) is None:
             failures += 1
     ok = failures == 0

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,34 @@ def test_subcommand_help_exits_zero(sub, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--config" in out and "default" in out
+
+
+#: the flags each subcommand reads besides --config and --out
+READS = {
+    "solve": {"--resolution", "--tol"},
+    "enumerate": {"--resolution", "--tol"},
+    "phase": {"--resolution"},
+    "basins": {"--resolution"},
+    "policy": set(),
+    "sweep": set(),
+    "oracle": {"--seed"},
+    "identify": set(),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(READS))
+def test_subcommand_help_lists_only_the_flags_it_reads(sub, capsys):
+    with pytest.raises(SystemExit):
+        main([sub, "--help"])
+    flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--out"} | READS[sub]
+
+
+@pytest.mark.parametrize("argv", [["policy", "--resolution", "32"], ["identify", "--seed", "1"]])
+def test_flag_the_subcommand_does_not_read_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_solve_closed_form_benchmark(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 from pathlib import Path
 
@@ -219,6 +220,15 @@ def test_nudge_from_origin_with_floor(seventeen):
     res = nudge_and_settle(p, Composition(0.0, 0.0), 0.1, equilibria=eqs)
     assert res.post_nudge == Composition(0.1, 0.1)
     assert res.settled.kind == "interior"
+
+
+def test_equally_near_equilibria_resolve_to_the_first(fat_unique):
+    # trajectories, nudges and basins share one nearest-equilibrium rule
+    p, (only,) = fat_unique
+    twins = [only, dataclasses.replace(only)]
+    assert integrate(p, only.comp, equilibria=twins).converged_to is twins[0]
+    assert nudge_and_settle(p, only.comp, 0.0, equilibria=twins).settled is twins[0]
+    assert set(basins(p, 16, equilibria=twins).labels.ravel().tolist()) == {0}
 
 
 def test_floor_validation(seventeen):

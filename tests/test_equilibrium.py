@@ -643,3 +643,41 @@ def test_slope_rule_matches_the_interior_labels():
             assert e.stability == want, (p, e, a, b)
             checked += 1
     assert checked > 500
+
+
+def criterion_5_draws():
+    from test_acceptance import fat_tail_family_draw
+
+    rng = np.random.default_rng(1005)
+    return [fat_tail_family_draw(rng) for _ in range(100)]
+
+
+@pytest.mark.filterwarnings("ignore:dropping boundary candidate")
+def test_census_does_not_depend_on_grid_n():
+    # every root is bisected to adjacent floats, so the axis density moves
+    # no point: the evidence for one default census below enumerate_equilibria
+    inputs = [p for p, _ in census_inputs("configs") + census_inputs("thin-tail")]
+    inputs += criterion_4_draws()[:100]
+    inputs += [p.with_values(sigma=s) for p in criterion_5_draws() for s in (1.0, 0.5, 0.25, 0.125)]
+    for p in inputs:
+        coarse = enumerate_equilibria(p, grid_n=16)
+        fine = enumerate_equilibria(p, grid_n=64)
+        assert [(e.kind, e.stability) for e in coarse] == [(e.kind, e.stability) for e in fine], p
+        for a, b in zip(coarse, fine):
+            assert max(abs(a.comp.r_w - b.comp.r_w), abs(a.comp.r_m - b.comp.r_m)) <= 1e-14, (p, a, b)
+
+
+@pytest.mark.filterwarnings("ignore:dropping boundary candidate")
+def test_monotone_limit_is_the_greatest_census_point_in_the_ordered_quadrant():
+    # Tarski: started at the top (re_w, re_m) of Q = [0, re_w] x [re_m, 1],
+    # ordered by falling r_w and rising r_m, the monotone iteration reaches
+    # the greatest fixed point in Q, the least amplified equilibrium
+    for p in criterion_4_draws():
+        re_w, re_m = p.adv_w.r_e, p.adv_m.r_e
+        in_q = [e for e in enumerate_equilibria(p) if e.comp.r_w <= re_w and e.comp.r_m >= re_m]
+        top = max(in_q, key=lambda e: (e.comp.r_w, -e.comp.r_m))
+        assert all(e.comp.r_w <= top.comp.r_w and e.comp.r_m >= top.comp.r_m for e in in_q), p
+        mono = solve_monotone_iteration(p)
+        assert mono.kind == top.kind, (p, mono, top)
+        gap = max(abs(mono.comp.r_w - top.comp.r_w), abs(mono.comp.r_m - top.comp.r_m))
+        assert gap <= 1e-9, (p, mono, top)

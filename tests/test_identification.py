@@ -232,7 +232,8 @@ def test_equilibrium_consistency_verdicts():
 
 
 def census_consistent(candidate, data, tol):
-    """The census version of equilibrium_consistent, kept as its oracle."""
+    """The census version of equilibrium_consistent, kept as its oracle; at
+    grid 16, so it also shows that the verdict does not depend on the grid."""
     params = candidate.to_model_params(data.pop_ratio)
     return any_within(enumerate_equilibria(params, grid_n=16), data.observed_comp, tol)
 

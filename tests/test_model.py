@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,18 +197,34 @@ def test_unit_tail_cdf_matches_bisection():
             assert np.max(np.abs(advantage_cdf(adv, d) - _cdf_bisect(adv, d))) < 1e-12
 
 
+OFF_UNIT_BETAS = (0.05, 0.5, 0.999, 1.001, 1.5, 2.0)
+
+
 def test_cdf_off_unit_tail_is_the_bisection():
     # up to 1e300 the bracket reaches the largest double below 1 on thin
     # tails; the CDF is then 1 there, and never leaves [0, 1] or falls
     mags = np.geomspace(1e-6, 1e300, 50)
     d = np.sort(np.concatenate([-mags, [0.3, 2.0], mags]))
-    for beta in (0.05, 0.5, 0.999, 1.001, 1.5, 2.0):
+    for beta in OFF_UNIT_BETAS:
         adv = AdvantageSpec(1.3, 0.35, beta)
         got = advantage_cdf(adv, d)
         assert np.array_equal(got, _cdf_bisect(adv, d))
         assert np.all((got >= 0.0) & (got <= 1.0))
         assert np.all(np.diff(got) >= 0.0)
     assert advantage_cdf(AdvantageSpec(1.0, 0.5, 0.05), 5.0) == 1.0
+
+
+def test_lower_tail_below_one_ulp_of_one():
+    # 1 - p rounds to 1 for p < 1.1e-16: a quantile written in u = 1 - p
+    # divides by zero there, and the CDF off the unit tail stalls at 5.55e-17
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for beta in OFF_UNIT_BETAS:
+            adv = AdvantageSpec(1.3, 0.35, beta)
+            q = advantage_quantile(adv, 1e-17)
+            assert math.isfinite(q) and q < 0.0
+            low = advantage_cdf(adv, -1e300)
+            assert not math.isnan(low) and low < 5.55e-17
 
 
 def test_advantage_cdf_maps_nan_to_nan():

@@ -175,7 +175,7 @@ def test_threshold_flip_matches_enumeration():
 
 def test_identity_policy_reports_no_tipping():
     p = make_params(**BENCH)
-    rep = compare(p, AmenityShift(1.0, 1.0), Composition(0.375, 0.625), grid_n=16)
+    rep = compare(p, AmenityShift(1.0, 1.0), Composition(0.375, 0.625))
     assert not rep.tipped
     assert rep.before == rep.after
     assert rep.disappeared == []
@@ -197,7 +197,7 @@ def test_participation_rise_removes_weakly_contrarian_equilibrium():
         e for e in eqs if e.stability == "stable" and e.comp.r_w < e.comp.r_m
     ]
     assert len(weakly) == 1
-    rep = compare(p, Participation(1.0), weakly[0].comp, grid_n=32)
+    rep = compare(p, Participation(1.0), weakly[0].comp)
     assert any(
         max(abs(d.comp.r_w - weakly[0].comp.r_w), abs(d.comp.r_m - weakly[0].comp.r_m)) < 1e-9
         for d in rep.disappeared
@@ -209,7 +209,7 @@ def test_participation_rise_removes_weakly_contrarian_equilibrium():
 def test_compare_rejects_observed_far_from_equilibria():
     p = make_params(**BENCH)
     with pytest.raises(DataInconsistentError):
-        compare(p, FlatTax(0.1), Composition(0.2, 0.9), grid_n=16)
+        compare(p, FlatTax(0.1), Composition(0.2, 0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,6 @@ def test_sweep_counts_change_at_threshold():
         make_params(c_w=0.7, c_m=c_m, beta=1.0, re_w=0.7, re_m=0.5),
         "c_w",
         np.linspace(0.7, 1.0, 13),
-        grid_n=16,
     )
     stable_counts = [r["n_stable"] for r in rows]
     changes = sum(1 for a, b in zip(stable_counts, stable_counts[1:]) if a != b)
