@@ -18,7 +18,6 @@ from .model import (
 from .equilibrium import (
     ClosedFormResult,
     ConsistencyError,
-    ConvergenceError,
     EquilibriumPoint,
     Residual,
     classify_stability,

@@ -45,10 +45,25 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_INCONSISTENT = 4
 
-_CONFIG_KEYS = {
-    "command", "params", "resolution", "seed", "tol", "out",
-    "policy", "observed", "data_csv", "sidecar", "y_grid_size", "noise",
-    "sweep", "grid", "oracle", "rounds_csv", "t_end", "dt",
+#: the config keys each subcommand reads besides "out"; every subcommand
+#: also accepts "command", which is never compared with the subcommand
+_KEYS = {
+    "solve": ("params", "resolution", "tol"),
+    "enumerate": ("params", "resolution", "tol"),
+    "phase": ("params", "resolution"),
+    "basins": ("params", "resolution", "t_end", "dt"),
+    "policy": ("params", "policy", "observed"),
+    "sweep": ("params", "sweep", "observed"),
+    "oracle": ("params", "oracle", "seed", "rounds_csv"),
+    "identify": ("data_csv", "sidecar", "noise", "grid", "y_grid_size"),
+}
+
+#: config keys that are also flags, registered on the subcommands that read
+#: them; every subcommand has --config and --out
+_FLAGS = {
+    "seed": {"type": int, "help": "random seed (default 0)"},
+    "resolution": {"type": int, "help": "grid resolution (defaults per command)"},
+    "tol": {"type": float, "help": "solver tolerance (default 1e-10)"},
 }
 
 
@@ -95,16 +110,16 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - {"command", "out", *_KEYS[command]}
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"config keys that {command} does not read: {sorted(unknown)}")
     return cfg
 
 
@@ -319,18 +334,6 @@ _COMMANDS = {
 }
 
 
-#: flag -> (the subcommands that read it, its argparse spec); every
-#: subcommand reads --config and --out
-_FLAGS = {
-    "seed": (("oracle",), {"type": int, "help": "random seed (default 0)"}),
-    "resolution": (
-        ("solve", "enumerate", "phase", "basins"),
-        {"type": int, "help": "grid resolution (defaults per command)"},
-    ),
-    "tol": (("solve", "enumerate"), {"type": float, "help": "solver tolerance (default 1e-10)"}),
-}
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: parsing leaves it unchanged, and
@@ -353,8 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output path (basename for csv+svg commands); default stdout")
-        for flag, (readers, spec) in _FLAGS.items():
-            if name in readers:
+        for flag, spec in _FLAGS.items():
+            if flag in _KEYS[name]:
                 p.add_argument(f"--{flag}", **spec)
     return parser
 
@@ -363,7 +366,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

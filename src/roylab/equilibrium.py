@@ -4,8 +4,9 @@ A composition is an equilibrium when no small mass of either group gains
 from switching sectors. Interior points must zero the residual system;
 clamped coordinates must instead pass a tail-versus-minority-penalty
 comparison (verify_corner). This module provides a closed form for unit
-tail exponent, a guaranteed monotone iteration, damped Newton from seeds,
-full enumeration over the square, and Jacobian-based stability labels.
+tail exponent, the least amplified equilibrium (the greatest census point
+of Q = [0, re_w] x [re_m, 1]), damped Newton from seeds, full enumeration
+over the square, and Jacobian-based stability labels.
 
 The enumeration is one-dimensional. With k > 0 a group's equation is zero
 exactly on its rest curve, the explicit graph partner = own + C (r_e - own)
@@ -31,7 +32,6 @@ __all__ = [
     "Residual",
     "EquilibriumPoint",
     "ClosedFormResult",
-    "ConvergenceError",
     "ConsistencyError",
     "residual",
     "residual_arrays",
@@ -65,16 +65,10 @@ _EIG_ZERO_TOL = 1e-8
 _CENSUS_GRID = 64
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations; carries the last iterate."""
-
-    def __init__(self, message: str, last: tuple[float, float]):
-        super().__init__(message)
-        self.last = last
-
-
 class ConsistencyError(RuntimeError):
-    """The analytic and numeric corner tests contradict each other."""
+    """Two computations of one fact disagree: the analytic and numeric
+    corner tests, or the census and the existence of a least amplified
+    equilibrium."""
 
 
 @dataclass(frozen=True)
@@ -282,8 +276,6 @@ def solve_closed_form_beta1(params: ModelParams) -> ClosedFormResult:
             f"closed form requires 0 < re_w < re_m < 1, got ({re_w}, {re_m})"
         )
     g_w, g_m = gammas(params)
-    g_w *= params.sigma
-    g_m *= params.sigma
     if not g_w + g_m < 1.0:
         raise ValueError(
             f"closed form requires gamma_w + gamma_m < 1, got {g_w + g_m}"
@@ -331,121 +323,35 @@ def _rest_point(params: ModelParams, comp: Composition, kind: str) -> Equilibriu
 
 
 # ---------------------------------------------------------------------------
-# monotone iteration
+# the least amplified equilibrium
 # ---------------------------------------------------------------------------
 
 
-_MONOTONE_SWEEPS = 10_000
+def solve_monotone_iteration(params: ModelParams) -> EquilibriumPoint:
+    """The least amplified equilibrium: the greatest census point of Q.
 
-
-def solve_monotone_iteration(params: ModelParams, tol: float = 1e-10) -> EquilibriumPoint:
-    """Monotone fixed-point construction of an amplified equilibrium.
-
-    Starting from the efficient composition, each sweep re-solves the two
-    scalar equations against the partner's previous value: the W fraction
-    only falls and the M fraction only rises, so the limit straddles the
-    efficient compositions. When a scalar equation loses its interior root
-    the coordinate slides to its clamp (0 for W, 1 for M) and the iteration
-    continues along the edge.
+    Q = [0, re_w] x [re_m, 1] holds the amplified compositions, ordered by
+    falling r_w and rising r_m. Re-solving each group's equation against
+    the partner's last value, from the efficient composition (re_w, re_m),
+    maps Q into itself monotonically, so by Tarski's fixed-point theorem Q
+    holds an equilibrium and a greatest one, which that iteration reaches:
+    the census point of Q with the largest r_w and the smallest r_m. A Q
+    without census points, or without one that dominates the others, is a
+    census fault and raises ConsistencyError.
     """
     re_w, re_m = params.adv_w.r_e, params.adv_m.r_e
     if re_w > re_m:
         raise ValueError(f"monotone iteration requires re_w <= re_m, got ({re_w}, {re_m})")
-    if params.sigma == 0.0:
-        return _rest_point(params, efficient_composition(params), INTERIOR)
-
-    g_w, g_m = _groups(params)
-    r_w, r_m = re_w, re_m
-    for _ in range(_MONOTONE_SWEEPS):
-        try:
-            new_w = _scalar_solve(g_w, r_m, r_w, toward_one=False)
-            new_m = _scalar_solve(g_m, r_w, r_m, toward_one=True)
-        except ConvergenceError as exc:
-            raise ConvergenceError(str(exc), (r_w, r_m)) from None
-        step = max(abs(new_w - r_w), abs(new_m - r_m))
-        r_w, r_m = new_w, new_m
-        if step < tol:
-            return _finish_monotone(params, r_w, r_m, tol)
-    raise ConvergenceError(
-        f"monotone iteration did not converge in {_MONOTONE_SWEEPS} sweeps", (r_w, r_m)
-    )
-
-
-def _finish_monotone(params: ModelParams, r_w: float, r_m: float, tol: float) -> EquilibriumPoint:
-    w_clamped = r_w <= 0.0
-    m_clamped = r_m >= 1.0
-    if w_clamped and m_clamped:
-        comp, kind = Composition(0.0, 1.0), VERTEX
-    elif w_clamped:
-        comp, kind = Composition(0.0, r_m), EDGE_W0
-    elif m_clamped:
-        comp, kind = Composition(r_w, 1.0), EDGE_M1
-    else:
-        comp, kind = Composition(r_w, r_m), INTERIOR
-    if kind != INTERIOR and not verify_corner(params, comp):
+    in_q = [e for e in enumerate_equilibria(params) if e.comp.r_w <= re_w and e.comp.r_m >= re_m]
+    if not in_q:
+        raise ConsistencyError(f"the census holds no equilibrium in [0, {re_w}] x [{re_m}, 1]")
+    top = max(in_q, key=lambda e: (e.comp.r_w, -e.comp.r_m))
+    # no point of Q has a larger r_w, nor the same r_w with a smaller r_m
+    if any(e.comp.r_m < top.comp.r_m for e in in_q):
         raise ConsistencyError(
-            f"monotone iteration slid to {comp} but the corner test rejects it"
+            f"no census point of [0, {re_w}] x [{re_m}, 1] dominates the others"
         )
-    return _rest_point(params, comp, kind)
-
-
-_SCAN_FLOOR = 1e-15
-
-
-def _descending_grid(upper: float) -> np.ndarray:
-    parts = [np.linspace(upper, upper * 1e-3, 800)]
-    if upper * 1e-3 > _SCAN_FLOOR:
-        parts.append(np.geomspace(upper * 1e-3, _SCAN_FLOOR, 300))
-    return np.concatenate(parts)
-
-
-def _scalar_solve(g: _Group, y: float, start: float, toward_one: bool) -> float:
-    """Root of one group's equation nearest `start` on the side of its clamp.
-
-    The monotone iteration moves W toward its clamp at 0 and M toward its
-    clamp at 1, so the scan runs from `start` toward that clamp. When no
-    interior root survives above the scan floor, the coordinate slides to
-    its clamp only if the corner test approves of full exclusion; otherwise
-    a root exists closer to the wall than floats resolve and a
-    ConvergenceError reports the impasse.
-    """
-    clamp = 1.0 if toward_one else 0.0
-    room = 1.0 - start if toward_one else start
-    if room <= 0.0:
-        return clamp
-    if g.component(start, y) == 0.0:
-        return start
-    if room > _SCAN_FLOOR:
-        # the residual at the previous iterate has the sign that points at
-        # the clamp; the root is where that sign first flips
-        steps = np.clip(_descending_grid(room), _SCAN_FLOOR, None)
-        grid = 1.0 - steps if toward_one else steps
-        vals = g.component(grid, y)
-        flipped = np.nonzero(vals < 0.0 if toward_one else vals > 0.0)[0]
-        if flipped.size:
-            i = flipped[0]
-            near = float(grid[i - 1]) if i > 0 else start
-            return _bisect(lambda v: g.component(v, y), float(grid[i]), near, want_sign_low=+1.0)
-    if g.holds(toward_one, y):
-        return clamp
-    raise ConvergenceError(
-        f"equation root lies closer to {clamp:g} than the scan resolves", (start, y)
-    )
-
-
-def _bisect(f, lo: float, hi: float, want_sign_low: float, iters: int = 90) -> float:
-    f_lo = f(lo)
-    if f_lo * want_sign_low < 0.0:
-        lo, hi = hi, lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) * want_sign_low >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    return top
 
 
 # ---------------------------------------------------------------------------

@@ -226,9 +226,6 @@ class CandidateParams:
             AdvantageSpec(float(self.C_m), float(self.re_m), beta),
         )
 
-    def pref_strength(self, t: TypeId) -> float:
-        return self.c_w if t is TypeId.W else self.c_m
-
 
 @dataclass(frozen=True)
 class GridAxis:
@@ -490,11 +487,8 @@ def simulate_observed_data(
     is_w = np.zeros(n_total, dtype=bool)
     is_w[:n_w] = True
     u = np.clip(rng.random(n_total), 1e-15, 1.0 - 1e-15)
-    delta = np.where(
-        is_w,
-        advantage_quantile(params.adv_w, np.clip(u, 1e-15, 1 - 1e-15)),
-        advantage_quantile(params.adv_m, np.clip(u, 1e-15, 1 - 1e-15)),
-    )
+    delta = np.concatenate([advantage_quantile(params.adv_w, u[:n_w]),
+                            advantage_quantile(params.adv_m, u[n_w:])])
     if noise.family == "degenerate":
         xi = np.zeros(n_total)
     elif noise.family == "logistic":

@@ -123,15 +123,6 @@ class ModelParams:
         """Ratio of group masses mu_w / mu_m."""
         return self.mu_w / self.mu_m
 
-    def pref(self, t: TypeId) -> PreferenceSpec:
-        return self.pref_w if t is TypeId.W else self.pref_m
-
-    def adv(self, t: TypeId) -> AdvantageSpec:
-        return self.adv_w if t is TypeId.W else self.adv_m
-
-    def mu(self, t: TypeId) -> float:
-        return self.mu_w if t is TypeId.W else self.mu_m
-
     def with_values(self, **kw) -> "ModelParams":
         """Return a copy with flat fields (c_w, C_m, re_w, beta, mu_w, ...) replaced."""
         d = self.to_dict()
@@ -202,9 +193,6 @@ class Composition:
     @property
     def interior(self) -> bool:
         return 0.0 < self.r_w < 1.0 and 0.0 < self.r_m < 1.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r_w, self.r_m])
 
     def sector_masses(self, params: ModelParams) -> tuple[float, float, float, float]:
         """Masses (sector1-W, sector1-M, sector2-W, sector2-M)."""
@@ -367,11 +355,12 @@ def _cdf_bisect(adv: AdvantageSpec, dv: np.ndarray) -> np.ndarray:
 def gammas(params: ModelParams) -> tuple[float, float]:
     """Relative strength of composition preferences versus income dispersion.
 
-    Returns ((mu_m / mu_w) * (c_w / C_w), (mu_w / mu_m) * (c_m / C_m)); these
-    two numbers govern the interior-versus-corner equilibrium regimes.
+    Returns ((mu_m / mu_w) * (c_w / C_w) * sigma, (mu_w / mu_m) * (c_m / C_m)
+    * sigma); these two numbers govern the interior-versus-corner
+    equilibrium regimes.
     """
-    g_w = (params.mu_m / params.mu_w) * (params.pref_w.c / params.adv_w.C)
-    g_m = (params.mu_w / params.mu_m) * (params.pref_m.c / params.adv_m.C)
+    g_w = (params.mu_m / params.mu_w) * (params.pref_w.c / params.adv_w.C) * params.sigma
+    g_m = (params.mu_w / params.mu_m) * (params.pref_m.c / params.adv_m.C) * params.sigma
     return g_w, g_m
 
 

@@ -149,8 +149,6 @@ def tax_equilibrium(params: ModelParams, tau: float) -> Composition:
     if params.adv_w.beta != 1.0 or params.adv_m.beta != 1.0:
         raise ValueError("tax closed form requires tail exponent beta = 1")
     g_w, g_m = gammas(params)
-    g_w *= params.sigma
-    g_m *= params.sigma
     re_w, re_m = params.adv_w.r_e, params.adv_m.r_e
     gamma_bar = max(g_w * re_m / re_w + g_m, g_w + g_m * (1.0 - re_w) / (1.0 - re_m))
     if gamma_bar >= 1.0 - tau:
@@ -203,8 +201,6 @@ def contrarian_threshold(params: ModelParams) -> ThresholdReport:
     if params.adv_w.beta != 1.0 or params.adv_m.beta != 1.0:
         raise ValueError("threshold analysis requires tail exponent beta = 1")
     g_w, g_m = gammas(params)
-    g_w *= params.sigma
-    g_m *= params.sigma
     re_w, re_m = params.adv_w.r_e, params.adv_m.r_e
     condition_value = g_w * re_m - (1.0 - g_m) * re_w
     corner_exists = condition_value > 0.0 and g_m < 1.0 - re_m

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from roylab.cli import main
 from roylab.identification import simulate_observed_data
 from roylab.model import make_params
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BENCH_PARAMS = {
     "mu_w": 1.0, "mu_m": 1.0, "c_w": 0.1, "c_m": 0.1,
@@ -192,6 +195,26 @@ def test_policy_observed_off_equilibrium_exits_4(tmp_path, capsys):
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"params": BENCH_PARAMS, "mystery": 1})
     assert main(["solve", "--config", cfg]) == 2
+
+
+def test_config_key_the_subcommand_does_not_read_exits_2(tmp_path):
+    # the same keys that are flags elsewhere: the config and the flags agree
+    cfg = write_config(tmp_path, "cfg.json", {
+        "params": BENCH_PARAMS, "policy": {"type": "flat_tax", "tau": 0.0},
+        "observed": [0.375, 0.625], "resolution": 3, "tol": -5, "seed": "x",
+    })
+    assert main(["policy", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("sub", ["enumerate", "solve", "phase", "basins"])
+@pytest.mark.parametrize("name", ["fig4", "fig4-rescaled", "fig5-left", "fig5-right"])
+def test_bundled_configs_run_under_every_census_subcommand(tmp_path, sub, name):
+    # the bundled configs name "command": "enumerate", which no subcommand
+    # compares with itself; basins runs at resolution 16 to keep the test short
+    argv = [sub, "--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "out")]
+    if sub == "basins":
+        argv += ["--resolution", "16"]
+    assert main(argv) == 0
 
 
 def test_threads_flag_and_key_exit_2(tmp_path):

@@ -133,7 +133,7 @@ def test_closed_form_respects_sigma_scaling():
 
 
 # ---------------------------------------------------------------------------
-# monotone iteration
+# the least amplified equilibrium
 # ---------------------------------------------------------------------------
 
 
@@ -144,7 +144,7 @@ def test_monotone_without_scale_returns_efficient():
 
 
 def test_monotone_matches_closed_form():
-    pt = solve_monotone_iteration(make_params(**BENCH), tol=1e-12)
+    pt = solve_monotone_iteration(make_params(**BENCH))
     assert pt.comp.r_w == pytest.approx(0.375, abs=1e-9)
     assert pt.comp.r_m == pytest.approx(0.625, abs=1e-9)
 
@@ -175,6 +175,24 @@ def test_monotone_slides_to_vertex_when_preferences_dominate():
     pt = solve_monotone_iteration(p)
     assert pt.comp == Composition(0.0, 1.0)
     assert pt.kind == "vertex"
+
+
+def test_monotone_reports_a_census_without_a_greatest_point_in_q(monkeypatch):
+    import roylab.equilibrium as eq
+
+    p = make_params(**BENCH)
+    with pytest.raises(ValueError, match="re_w <= re_m"):
+        solve_monotone_iteration(p.with_values(re_w=0.6, re_m=0.4))
+
+    def census(*points):
+        return [eq.EquilibriumPoint(Composition(*xy), "interior", STABLE, None, 0.0)
+                for xy in points]
+
+    # Q = [0, 0.4] x [0.6, 1]: no point in it, then two that neither dominates
+    for points in (census((0.5, 0.5)), census((0.3, 0.7), (0.2, 0.6))):
+        monkeypatch.setattr(eq, "enumerate_equilibria", lambda params, pts=points: pts)
+        with pytest.raises(eq.ConsistencyError):
+            solve_monotone_iteration(p)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +419,7 @@ def test_solver_cross_agreement_sampled():
     for _ in range(40):
         p = _interior_region_draw(rng)
         cf = solve_closed_form_beta1(p).point.comp
-        mono = solve_monotone_iteration(p, tol=1e-12).comp
+        mono = solve_monotone_iteration(p).comp
         newt = solve_from_seed(p, Composition(0.5, 0.5)).comp
         for other in (mono, newt):
             assert abs(cf.r_w - other.r_w) < 1e-8
@@ -502,6 +520,21 @@ def test_edge_derivative_matches_central_difference():
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _bisect(f, lo: float, hi: float, want_sign_low: float, iters: int = 90) -> float:
+    f_lo = f(lo)
+    if f_lo * want_sign_low < 0.0:
+        lo, hi = hi, lo
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if f(mid) * want_sign_low >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
 def lattice_census(params, grid_n, tol=1e-10):
     """enumerate_equilibria as it was before the rest-curve census.
 
@@ -511,7 +544,7 @@ def lattice_census(params, grid_n, tol=1e-10):
     vertices, and both before interior points, at distance 10 * tol.
     """
     from roylab.equilibrium import (
-        _EDGES, _bisect, _corner_filter, _groups, _newton_batch, residual_arrays,
+        _EDGES, _corner_filter, _groups, _newton_batch, residual_arrays,
     )
 
     centers = (np.arange(grid_n) + 0.5) / grid_n
@@ -667,17 +700,132 @@ def test_census_does_not_depend_on_grid_n():
             assert max(abs(a.comp.r_w - b.comp.r_w), abs(a.comp.r_m - b.comp.r_m)) <= 1e-14, (p, a, b)
 
 
+# ---------------------------------------------------------------------------
+# the greatest census point of Q against the monotone iteration it replaces
+# ---------------------------------------------------------------------------
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver ran out of iterations; carries the last iterate."""
+
+    def __init__(self, message: str, last: tuple[float, float]):
+        super().__init__(message)
+        self.last = last
+
+
+_MONOTONE_SWEEPS = 10_000
+
+
+def monotone_reference(params: ModelParams, tol: float = 1e-10):
+    """solve_monotone_iteration as it was before it read the census.
+
+    Starting from the efficient composition, each sweep re-solves the two
+    scalar equations against the partner's previous value: the W fraction
+    only falls and the M fraction only rises, so the limit straddles the
+    efficient compositions. When a scalar equation loses its interior root
+    the coordinate slides to its clamp (0 for W, 1 for M) and the iteration
+    continues along the edge.
+    """
+    from roylab.equilibrium import INTERIOR, _groups, _rest_point
+
+    re_w, re_m = params.adv_w.r_e, params.adv_m.r_e
+    if re_w > re_m:
+        raise ValueError(f"monotone iteration requires re_w <= re_m, got ({re_w}, {re_m})")
+    if params.sigma == 0.0:
+        return _rest_point(params, efficient_composition(params), INTERIOR)
+
+    g_w, g_m = _groups(params)
+    r_w, r_m = re_w, re_m
+    for _ in range(_MONOTONE_SWEEPS):
+        try:
+            new_w = _scalar_solve(g_w, r_m, r_w, toward_one=False)
+            new_m = _scalar_solve(g_m, r_w, r_m, toward_one=True)
+        except ConvergenceError as exc:
+            raise ConvergenceError(str(exc), (r_w, r_m)) from None
+        step = max(abs(new_w - r_w), abs(new_m - r_m))
+        r_w, r_m = new_w, new_m
+        if step < tol:
+            return _finish_monotone(params, r_w, r_m, tol)
+    raise ConvergenceError(
+        f"monotone iteration did not converge in {_MONOTONE_SWEEPS} sweeps", (r_w, r_m)
+    )
+
+
+def _finish_monotone(params, r_w: float, r_m: float, tol: float):
+    from roylab.equilibrium import (
+        EDGE_M1, EDGE_W0, INTERIOR, VERTEX, ConsistencyError, _rest_point,
+    )
+
+    w_clamped = r_w <= 0.0
+    m_clamped = r_m >= 1.0
+    if w_clamped and m_clamped:
+        comp, kind = Composition(0.0, 1.0), VERTEX
+    elif w_clamped:
+        comp, kind = Composition(0.0, r_m), EDGE_W0
+    elif m_clamped:
+        comp, kind = Composition(r_w, 1.0), EDGE_M1
+    else:
+        comp, kind = Composition(r_w, r_m), INTERIOR
+    if kind != INTERIOR and not verify_corner(params, comp):
+        raise ConsistencyError(
+            f"monotone iteration slid to {comp} but the corner test rejects it"
+        )
+    return _rest_point(params, comp, kind)
+
+
+_SCAN_FLOOR = 1e-15
+
+
+def _descending_grid(upper: float) -> np.ndarray:
+    parts = [np.linspace(upper, upper * 1e-3, 800)]
+    if upper * 1e-3 > _SCAN_FLOOR:
+        parts.append(np.geomspace(upper * 1e-3, _SCAN_FLOOR, 300))
+    return np.concatenate(parts)
+
+
+def _scalar_solve(g, y: float, start: float, toward_one: bool) -> float:
+    """Root of one group's equation nearest `start` on the side of its clamp.
+
+    The monotone iteration moves W toward its clamp at 0 and M toward its
+    clamp at 1, so the scan runs from `start` toward that clamp. When no
+    interior root survives above the scan floor, the coordinate slides to
+    its clamp only if the corner test approves of full exclusion; otherwise
+    a root exists closer to the wall than floats resolve and a
+    ConvergenceError reports the impasse.
+    """
+    clamp = 1.0 if toward_one else 0.0
+    room = 1.0 - start if toward_one else start
+    if room <= 0.0:
+        return clamp
+    if g.component(start, y) == 0.0:
+        return start
+    if room > _SCAN_FLOOR:
+        # the residual at the previous iterate has the sign that points at
+        # the clamp; the root is where that sign first flips
+        steps = np.clip(_descending_grid(room), _SCAN_FLOOR, None)
+        grid = 1.0 - steps if toward_one else steps
+        vals = g.component(grid, y)
+        flipped = np.nonzero(vals < 0.0 if toward_one else vals > 0.0)[0]
+        if flipped.size:
+            i = flipped[0]
+            near = float(grid[i - 1]) if i > 0 else start
+            return _bisect(lambda v: g.component(v, y), float(grid[i]), near, want_sign_low=+1.0)
+    if g.holds(toward_one, y):
+        return clamp
+    raise ConvergenceError(
+        f"equation root lies closer to {clamp:g} than the scan resolves", (start, y)
+    )
+
+
 @pytest.mark.filterwarnings("ignore:dropping boundary candidate")
 def test_monotone_limit_is_the_greatest_census_point_in_the_ordered_quadrant():
     # Tarski: started at the top (re_w, re_m) of Q = [0, re_w] x [re_m, 1],
     # ordered by falling r_w and rising r_m, the monotone iteration reaches
-    # the greatest fixed point in Q, the least amplified equilibrium
+    # the greatest fixed point in Q, which solve_monotone_iteration reads
+    # off the census
     for p in criterion_4_draws():
-        re_w, re_m = p.adv_w.r_e, p.adv_m.r_e
-        in_q = [e for e in enumerate_equilibria(p) if e.comp.r_w <= re_w and e.comp.r_m >= re_m]
-        top = max(in_q, key=lambda e: (e.comp.r_w, -e.comp.r_m))
-        assert all(e.comp.r_w <= top.comp.r_w and e.comp.r_m >= top.comp.r_m for e in in_q), p
-        mono = solve_monotone_iteration(p)
+        top = solve_monotone_iteration(p)
+        mono = monotone_reference(p)
         assert mono.kind == top.kind, (p, mono, top)
         gap = max(abs(mono.comp.r_w - top.comp.r_w), abs(mono.comp.r_m - top.comp.r_m))
         assert gap <= 1e-9, (p, mono, top)
