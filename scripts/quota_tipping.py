@@ -26,7 +26,7 @@ def main() -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     params = ModelParams.from_dict(cfg["params"])
-    eqs = enumerate_equilibria(params, grid_n=cfg.get("resolution", 64))
+    eqs = enumerate_equilibria(params)
     boundary_stable = [e for e in eqs if e.stability == "boundary-stable"]
     print(f"{len(eqs)} equilibria, {len(boundary_stable)} stable on the boundary")
     for eq in boundary_stable:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Composition, ModelParams, advantage_quantile
+from .model import Composition, ModelParams, _draw_advantages
 
 __all__ = [
     "AgentPopulation",
@@ -88,11 +88,7 @@ def sample_population(
     if n_w < 1 or n_m < 1:
         raise ValueError("need at least one agent of each group")
     rng = np.random.default_rng(seed)
-    u_w = np.clip(rng.random(n_w), 1e-15, 1.0 - 1e-15)
-    u_m = np.clip(rng.random(n_m), 1e-15, 1.0 - 1e-15)
-    delta = np.concatenate(
-        [advantage_quantile(params.adv_w, u_w), advantage_quantile(params.adv_m, u_m)]
-    )
+    delta = _draw_advantages(params, n_w, n_m, rng)
     is_w = np.zeros(n_w + n_m, dtype=bool)
     is_w[:n_w] = True
 
@@ -200,7 +196,11 @@ def _switch_threshold(
     """sigma * (h1 - h2): the draw above which one group's agents prefer sector 1.
 
     h is the minority penalty c * total / own in each sector, 0 in an empty
-    sector and infinite in a nonempty sector without the group. Without a
+    sector and infinite in a nonempty sector without the group. On the
+    continuum this difference is the model's composition gain, which the
+    per-group view model._Group evaluates on sector-1 fractions; here it is
+    written on the population's sector masses, so it is also defined where
+    a sector holds none of the group, or nobody at all. Without a
     composition term (sigma * c = 0) the threshold is 0 wherever the group
     is, as in model.h_eval and g_eval.
     """

@@ -45,25 +45,11 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_INCONSISTENT = 4
 
-#: the config keys each subcommand reads besides "out"; every subcommand
-#: also accepts "command", which is never compared with the subcommand
-_KEYS = {
-    "solve": ("params", "resolution", "tol"),
-    "enumerate": ("params", "resolution", "tol"),
-    "phase": ("params", "resolution"),
-    "basins": ("params", "resolution", "t_end", "dt"),
-    "policy": ("params", "policy", "observed"),
-    "sweep": ("params", "sweep", "observed"),
-    "oracle": ("params", "oracle", "seed", "rounds_csv"),
-    "identify": ("data_csv", "sidecar", "noise", "grid", "y_grid_size"),
-}
-
 #: config keys that are also flags, registered on the subcommands that read
 #: them; every subcommand has --config and --out
 _FLAGS = {
     "seed": {"type": int, "help": "random seed (default 0)"},
     "resolution": {"type": int, "help": "grid resolution (defaults per command)"},
-    "tol": {"type": float, "help": "solver tolerance (default 1e-10)"},
 }
 
 
@@ -117,7 +103,8 @@ def _load_config(path: str | None, command: str) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(cfg) - {"command", "out", *_KEYS[command]}
+    _, _, keys = _COMMANDS[command]
+    unknown = set(cfg) - {"command", "out", *keys}
     if unknown:
         raise ValueError(f"config keys that {command} does not read: {sorted(unknown)}")
     return cfg
@@ -170,18 +157,14 @@ def cmd_solve(cfg: dict) -> int:
     try:
         points = [solve_closed_form_beta1(params).point]
     except ValueError:
-        points = enumerate_equilibria(
-            params, grid_n=int(cfg.get("resolution", 64)), tol=float(cfg.get("tol", 1e-10))
-        )
+        points = enumerate_equilibria(params, grid_n=int(cfg.get("resolution", 64)))
     _write_out(_dumps([p.to_json_dict() for p in points]), cfg.get("out"))
     return EXIT_OK
 
 
 def cmd_enumerate(cfg: dict) -> int:
     params = _params_from(cfg)
-    points = enumerate_equilibria(
-        params, grid_n=int(cfg.get("resolution", 64)), tol=float(cfg.get("tol", 1e-10))
-    )
+    points = enumerate_equilibria(params, grid_n=int(cfg.get("resolution", 64)))
     _write_out(_dumps([p.to_json_dict() for p in points]), cfg.get("out"))
     return EXIT_OK
 
@@ -322,15 +305,26 @@ def cmd_identify(cfg: dict) -> int:
     return EXIT_OK
 
 
+#: each subcommand's (handler, help line, config keys it reads besides
+#: "out"); every subcommand also accepts "command", which is never compared
+#: with the subcommand
 _COMMANDS = {
-    "solve": cmd_solve,
-    "enumerate": cmd_enumerate,
-    "phase": cmd_phase,
-    "basins": cmd_basins,
-    "policy": cmd_policy,
-    "sweep": cmd_sweep,
-    "oracle": cmd_oracle,
-    "identify": cmd_identify,
+    "solve": (cmd_solve, "closed form when available, enumeration otherwise",
+              ("params", "resolution")),
+    "enumerate": (cmd_enumerate, "all equilibria on the unit square (default resolution 64)",
+                  ("params", "resolution")),
+    "phase": (cmd_phase, "vector field + nullclines to OUT.csv / OUT.svg (default resolution 24)",
+              ("params", "resolution")),
+    "basins": (cmd_basins, "basin map to OUT.csv / OUT.svg (default resolution 32)",
+               ("params", "resolution", "t_end", "dt")),
+    "policy": (cmd_policy, "before/after equilibrium comparison for one policy",
+               ("params", "policy", "observed")),
+    "sweep": (cmd_sweep, "1-D parameter sweep with equilibrium counts (bifurcation data)",
+              ("params", "sweep", "observed")),
+    "oracle": (cmd_oracle, "finite-agent best-response run (default 10000 agents per group)",
+               ("params", "oracle", "seed", "rounds_csv")),
+    "identify": (cmd_identify, "moment-inequality grid search over structural parameters",
+                 ("data_csv", "sidecar", "noise", "grid", "y_grid_size")),
 }
 
 
@@ -343,21 +337,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-group sector selection lab: equilibria, dynamics, policy, identification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("solve", "closed form when available, enumeration otherwise"),
-        ("enumerate", "all equilibria on the unit square (default resolution 64)"),
-        ("phase", "vector field + nullclines to OUT.csv / OUT.svg (default resolution 24)"),
-        ("basins", "basin map to OUT.csv / OUT.svg (default resolution 32)"),
-        ("policy", "before/after equilibrium comparison for one policy"),
-        ("sweep", "1-D parameter sweep with equilibrium counts (bifurcation data)"),
-        ("oracle", "finite-agent best-response run (default 10000 agents per group)"),
-        ("identify", "moment-inequality grid search over structural parameters"),
-    ]:
+    for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output path (basename for csv+svg commands); default stdout")
         for flag, spec in _FLAGS.items():
-            if flag in _KEYS[name]:
+            if flag in keys:
                 p.add_argument(f"--{flag}", **spec)
     return parser
 
@@ -379,8 +364,9 @@ def main(argv=None) -> int:
         if val is not None:
             cfg[key] = val
 
+    run, _, _ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](cfg)
+        return run(cfg)
     except DataInconsistentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import _CENSUS_GRID, EquilibriumPoint, _axis, _Group, _groups, enumerate_equilibria
-from .model import Composition, ModelParams
+from .equilibrium import _CENSUS_GRID, EquilibriumPoint, _axis, enumerate_equilibria
+from .model import Composition, ModelParams, _Group, _groups
 
 __all__ = [
     "Trajectory",

@@ -6,7 +6,10 @@ clamped coordinates must instead pass a tail-versus-minority-penalty
 comparison (verify_corner). This module provides a closed form for unit
 tail exponent, the least amplified equilibrium (the greatest census point
 of Q = [0, re_w] x [re_m, 1]), damped Newton from seeds, full enumeration
-over the square, and Jacobian-based stability labels.
+over the square, and Jacobian-based stability labels. The equations it
+solves are the model's: each group's advantage, composition gain, rest
+curve, exact partials and corner test come from the per-group view
+model._Group.
 
 The enumeration is one-dimensional. With k > 0 a group's equation is zero
 exactly on its rest curve, the explicit graph partner = own + C (r_e - own)
@@ -22,11 +25,10 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import Composition, ModelParams, gammas
+from .model import Composition, ModelParams, _Group, _groups, gammas
 
 __all__ = [
     "Residual",
@@ -63,6 +65,9 @@ _EIG_ZERO_TOL = 1e-8
 #: census resolution wherever none is given: the roots are bisected to
 #: adjacent floats, so a denser axis finds the same points
 _CENSUS_GRID = 64
+
+#: census points closer than this in L-infinity distance are one point
+_MERGE_RADIUS = 1e-9
 
 
 class ConsistencyError(RuntimeError):
@@ -110,100 +115,6 @@ class EquilibriumPoint:
             "eigenvalues": eigs,
             "residual_norm": self.residual_norm,
         }
-
-
-class _Group(NamedTuple):
-    """One group's side of the model: the same equations for W and M.
-
-    C, r_e and beta are the group's advantage law and k = sigma * c * z its
-    preference weight, z being the other group's mass over its own. Methods
-    take the own sector-1 fraction x, which must be interior, and the
-    partner's fraction y, which may sit at 0 or 1; numpy arrays and Python
-    floats both work.
-    """
-
-    C: float
-    r_e: float
-    beta: float
-    k: float
-
-    def advantage(self, x):
-        """Advantage quantile of the group's marginal member at own fraction x."""
-        return self.C * (self.r_e - x) / (x * (1.0 - x)) ** self.beta
-
-    def penalty(self, x, y):
-        """Net composition gain of sector 1 over sector 2, weighted by k."""
-        return self.k * (y - x) / (x * (1.0 - x))
-
-    def component(self, x, y):
-        """The group's residual: zero when its marginal member is indifferent."""
-        return self.advantage(x) - self.penalty(x, y)
-
-    def d_own(self, x, y):
-        """Exact partial derivative of the component in the own fraction x."""
-        u = x * (1.0 - x)
-        s = 1.0 - 2.0 * x
-        return (
-            -self.C * u ** -self.beta * (1.0 + self.beta * (self.r_e - x) * s / u)
-            + self.k * (1.0 + (y - x) * s / u) / u
-        )
-
-    def rest(self, x):
-        """The partner fraction at which the component vanishes; needs k > 0.
-
-        The component has the sign of rest(x) - y, so the rest curve is the
-        group's nullcline.
-        """
-        return x + self.C * (self.r_e - x) * (x * (1.0 - x)) ** (1.0 - self.beta) / self.k
-
-    def d_partner(self, x):
-        """Exact partial derivative of the component in the partner fraction."""
-        return -self.k / (x * (1.0 - x))
-
-    def corner(self, at_one: bool, y):
-        """Leading tail coefficients (advantage, penalty) at the clamp x = 1 or 0.
-
-        At distance d from the clamp the marginal advantage grows like
-        advantage_coef * d ** -beta and the penalty like penalty_coef / d.
-        """
-        if at_one:
-            return self.C * (1.0 - self.r_e), self.k * (1.0 - y)
-        return self.C * self.r_e, self.k * y
-
-    def holds(self, at_one: bool, y):
-        """Analytic corner verdict: the penalty outgrows the tail at the clamp.
-
-        Vectorized over partner fractions y, so the dynamics also use it as
-        the predicate that freezes a coordinate on its face.
-        """
-        q_coef, g_coef = self.corner(at_one, np.asarray(y, dtype=float))
-        if self.beta < 1.0:
-            return g_coef > 0.0
-        if self.beta > 1.0:
-            return np.zeros_like(g_coef, dtype=bool)
-        return q_coef <= g_coef
-
-    def stiffness(self, x):
-        """Upper scale of the partials, clipped away from the walls; 0 on a face.
-
-        The partials grow like C / (u(1-u))**(beta+1) from the advantage and
-        like k / (u(1-u)) from the penalty. A coordinate sitting exactly on
-        its face is frozen there, so it contributes nothing.
-        """
-        xc = np.clip(x, 0.01, 0.99)
-        u = xc * (1.0 - xc)
-        s = self.C * u ** -(self.beta + 1.0) + self.k / u
-        return np.where((x == 0.0) | (x == 1.0), 0.0, s)
-
-
-def _groups(params: ModelParams) -> tuple[_Group, _Group]:
-    """The (W, M) views; group i's own fraction is coordinate i of a composition."""
-    return (
-        _Group(params.adv_w.C, params.adv_w.r_e, params.adv_w.beta,
-               params.sigma * params.pref_w.c * (params.mu_m / params.mu_w)),
-        _Group(params.adv_m.C, params.adv_m.r_e, params.adv_m.beta,
-               params.sigma * params.pref_m.c * (params.mu_w / params.mu_m)),
-    )
 
 
 #: edge kind -> (index of the free coordinate, value of the clamped one)
@@ -342,16 +253,16 @@ def solve_monotone_iteration(params: ModelParams) -> EquilibriumPoint:
     re_w, re_m = params.adv_w.r_e, params.adv_m.r_e
     if re_w > re_m:
         raise ValueError(f"monotone iteration requires re_w <= re_m, got ({re_w}, {re_m})")
-    in_q = [e for e in enumerate_equilibria(params) if e.comp.r_w <= re_w and e.comp.r_m >= re_m]
+    in_q = _census(params, box=((0.0, re_w), (re_m, 1.0)))
     if not in_q:
         raise ConsistencyError(f"the census holds no equilibrium in [0, {re_w}] x [{re_m}, 1]")
-    top = max(in_q, key=lambda e: (e.comp.r_w, -e.comp.r_m))
+    px, py, kind = max(in_q, key=lambda p: (p[0], -p[1]))
     # no point of Q has a larger r_w, nor the same r_w with a smaller r_m
-    if any(e.comp.r_m < top.comp.r_m for e in in_q):
+    if any(qy < py for _, qy, _ in in_q):
         raise ConsistencyError(
             f"no census point of [0, {re_w}] x [{re_m}, 1] dominates the others"
         )
-    return top
+    return _rest_point(params, Composition(px, py), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +519,7 @@ def classify_stability(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_equilibria(
-    params: ModelParams, grid_n: int = _CENSUS_GRID, tol: float = 1e-10
-) -> list[EquilibriumPoint]:
+def enumerate_equilibria(params: ModelParams, grid_n: int = _CENSUS_GRID) -> list[EquilibriumPoint]:
     """All equilibria found on the closed square, sorted lexicographically.
 
     Every scan runs on one axis: 64 * grid_n uniform points plus 400
@@ -623,24 +532,24 @@ def enumerate_equilibria(
     test; a candidate whose corner tests contradict each other is dropped
     with a warning. Vertices are kept when both clamps pass. Vertices,
     then edge points, then interior points merge at L-infinity distance
-    10 * tol; no other crossing is dropped, whatever its residual norm.
+    1e-9; no other crossing is dropped, whatever its residual norm.
     Since every root is bisected to adjacent floats, grid_n sets the scan
     density only; below 16 it is rejected.
     """
     points = [_rest_point(params, Composition(px, py), kind)
-              for px, py, kind in _census(params, grid_n, tol)]
+              for px, py, kind in _census(params, grid_n)]
     points.sort(key=lambda p: (p.comp.r_w, p.comp.r_m))
     return points
 
 
-def _census(params: ModelParams, grid_n: int = _CENSUS_GRID, tol: float = 1e-10,
-            box=((0.0, 1.0), (0.0, 1.0))):
+def _census(params: ModelParams, grid_n: int = _CENSUS_GRID, box=((0.0, 1.0), (0.0, 1.0))):
     """The rest points of enumerate_equilibria inside box, as (r_w, r_m, kind).
 
     box holds the closed (lo, hi) range of each coordinate. Each scan runs
     only on the axis intervals that meet its range, and walls and vertices
     out of range are skipped, so a smaller box returns the full census's
-    points inside it, up to a 10 * tol merge across its border.
+    points inside it, up to the merge of two points within _MERGE_RADIUS
+    that straddle its border.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
@@ -652,7 +561,7 @@ def _census(params: ModelParams, grid_n: int = _CENSUS_GRID, tol: float = 1e-10,
     found: list[tuple[float, float, str]] = []
 
     def _push(px: float, py: float, kind: str):
-        if all(max(abs(px - qx), abs(py - qy)) >= 10.0 * tol for qx, qy, _ in found):
+        if all(max(abs(px - qx), abs(py - qy)) >= _MERGE_RADIUS for qx, qy, _ in found):
             found.append((px, py, kind))
 
     # vertices before edge roots, and both before interior crossings, so a

@@ -30,9 +30,10 @@ from .model import (
     ModelParams,
     PreferenceSpec,
     TypeId,
+    _draw_advantages,
+    _Group,
+    _groups,
     advantage_cdf,
-    advantage_quantile,
-    g_interior,
 )
 
 __all__ = [
@@ -305,9 +306,11 @@ def g_star(candidate: CandidateParams, data: ObservedData) -> tuple[float, float
             "observed composition on the boundary makes the selection cutoffs infinite"
         )
     r = data.pop_ratio
-    gw = g_interior(candidate.c_w, 1.0 / r, comp.r_w, comp.r_m)
-    gm = g_interior(candidate.c_m, r, comp.r_m, comp.r_w)
-    return float(gw), float(gm)
+    # the views _groups(candidate.to_model_params(r)) holds, bit for bit,
+    # without building ModelParams for every candidate
+    g_w = _Group(candidate.C_w, candidate.re_w, candidate.beta, candidate.c_w * (1.0 / r))
+    g_m = _Group(candidate.C_m, candidate.re_m, candidate.beta, candidate.c_m * r)
+    return float(g_w.penalty(comp.r_w, comp.r_m)), float(g_m.penalty(comp.r_m, comp.r_w))
 
 
 def _g_star_for(candidate: CandidateParams, data: ObservedData, t: TypeId) -> float:
@@ -478,17 +481,13 @@ def simulate_observed_data(
     r = params.pop_ratio
     n_w = int(round(n_total * r / (1.0 + r)))
     n_m = n_total - n_w
-    gw = g_interior(params.sigma * params.pref_w.c, 1.0 / r, comp.r_w, comp.r_m)
-    gm = g_interior(params.sigma * params.pref_m.c, r, comp.r_m, comp.r_w)
 
     if base_scale is None:
         base_scale = 4.0 * max(params.adv_w.C, params.adv_m.C)
 
     is_w = np.zeros(n_total, dtype=bool)
     is_w[:n_w] = True
-    u = np.clip(rng.random(n_total), 1e-15, 1.0 - 1e-15)
-    delta = np.concatenate([advantage_quantile(params.adv_w, u[:n_w]),
-                            advantage_quantile(params.adv_m, u[n_w:])])
+    delta = _draw_advantages(params, n_w, n_m, rng)
     if noise.family == "degenerate":
         xi = np.zeros(n_total)
     elif noise.family == "logistic":
@@ -496,7 +495,8 @@ def simulate_observed_data(
         xi = noise.scale * np.log(v / (1.0 - v))
     else:
         xi = noise.scale * rng.standard_normal(n_total)
-    cutoff = np.where(is_w, gw, gm)
+    g_w, g_m = _groups(params)
+    cutoff = np.where(is_w, g_w.penalty(comp.r_w, comp.r_m), g_m.penalty(comp.r_m, comp.r_w))
     sector = np.where(delta > cutoff + xi, 1, 2).astype(np.int8)
     base = min_wage + rng.exponential(base_scale, size=n_total)
     income = np.where(sector == 1, base + np.maximum(delta, 0.0),

@@ -28,7 +28,6 @@ __all__ = [
     "SectorShares",
     "h_eval",
     "g_eval",
-    "g_interior",
     "advantage_quantile",
     "advantage_cdf",
     "gammas",
@@ -225,13 +224,14 @@ def h_eval(pref: PreferenceSpec, u: float) -> float:
     return pref.c / u
 
 
-def g_interior(c, z, x, y):
-    """Net composition gain c * z * (y - x) / (x * (1 - x)) on the open square.
+def _gain(k, x, y):
+    """Net composition gain k * (y - x) / (x * (1 - x)) on the open square.
 
-    x is the own-group sector-1 fraction, y the other group's, z the ratio of
-    the other group's mass to the own group's. Vectorized; no domain checks.
+    x is the own-group sector-1 fraction, y the other group's, and k the
+    preference weight c * z, z being the ratio of the other group's mass to
+    the own group's. Vectorized; no domain checks.
     """
-    return c * z * (y - x) / (x * (1.0 - x))
+    return k * (y - x) / (x * (1.0 - x))
 
 
 def g_eval(pref: PreferenceSpec, x: float, y: float, z: float) -> float:
@@ -256,7 +256,7 @@ def g_eval(pref: PreferenceSpec, x: float, y: float, z: float) -> float:
         return math.inf if y > 0.0 else -pref.c * z
     if x == 1.0:
         return -math.inf if y < 1.0 else pref.c * z
-    return pref.c * z * (y - x) / (x * (1.0 - x))
+    return _gain(pref.c * z, x, y)
 
 
 def advantage_quantile(adv: AdvantageSpec, p):
@@ -274,6 +274,18 @@ def advantage_quantile(adv: AdvantageSpec, p):
     if np.isscalar(p) or p_arr.ndim == 0:
         return float(out)
     return out
+
+
+def _draw_advantages(params: ModelParams, n_w: int, n_m: int, rng) -> np.ndarray:
+    """n_w advantage draws of group W, then n_m of group M, by inverse transform.
+
+    Takes n_w + n_m uniforms from rng in one call, which leaves rng where
+    two calls of n_w and n_m would, and clips them off 0 and 1 so the
+    quantile stays finite.
+    """
+    u = np.clip(rng.random(n_w + n_m), 1e-15, 1.0 - 1e-15)
+    return np.concatenate([advantage_quantile(params.adv_w, u[:n_w]),
+                           advantage_quantile(params.adv_m, u[n_w:])])
 
 
 def advantage_cdf(adv: AdvantageSpec, d):
@@ -382,3 +394,97 @@ def sector_shares(comp: Composition, params: ModelParams) -> SectorShares:
     else:
         w2 = m2 = math.nan
     return SectorShares(w1, m1, w2, m2)
+
+
+class _Group(NamedTuple):
+    """One group's side of the model: the same equations for W and M.
+
+    C, r_e and beta are the group's advantage law and k = sigma * c * z its
+    preference weight, z being the other group's mass over its own. Methods
+    take the own sector-1 fraction x, which must be interior, and the
+    partner's fraction y, which may sit at 0 or 1; numpy arrays and Python
+    floats both work.
+    """
+
+    C: float
+    r_e: float
+    beta: float
+    k: float
+
+    def advantage(self, x):
+        """Advantage quantile of the group's marginal member at own fraction x."""
+        return self.C * (self.r_e - x) / (x * (1.0 - x)) ** self.beta
+
+    def penalty(self, x, y):
+        """Net composition gain of sector 1 over sector 2, weighted by k."""
+        return _gain(self.k, x, y)
+
+    def component(self, x, y):
+        """The group's residual: zero when its marginal member is indifferent."""
+        return self.advantage(x) - self.penalty(x, y)
+
+    def d_own(self, x, y):
+        """Exact partial derivative of the component in the own fraction x."""
+        u = x * (1.0 - x)
+        s = 1.0 - 2.0 * x
+        return (
+            -self.C * u ** -self.beta * (1.0 + self.beta * (self.r_e - x) * s / u)
+            + self.k * (1.0 + (y - x) * s / u) / u
+        )
+
+    def rest(self, x):
+        """The partner fraction at which the component vanishes; needs k > 0.
+
+        The component has the sign of rest(x) - y, so the rest curve is the
+        group's nullcline.
+        """
+        return x + self.C * (self.r_e - x) * (x * (1.0 - x)) ** (1.0 - self.beta) / self.k
+
+    def d_partner(self, x):
+        """Exact partial derivative of the component in the partner fraction."""
+        return -self.k / (x * (1.0 - x))
+
+    def corner(self, at_one: bool, y):
+        """Leading tail coefficients (advantage, penalty) at the clamp x = 1 or 0.
+
+        At distance d from the clamp the marginal advantage grows like
+        advantage_coef * d ** -beta and the penalty like penalty_coef / d.
+        """
+        if at_one:
+            return self.C * (1.0 - self.r_e), self.k * (1.0 - y)
+        return self.C * self.r_e, self.k * y
+
+    def holds(self, at_one: bool, y):
+        """Analytic corner verdict: the penalty outgrows the tail at the clamp.
+
+        Vectorized over partner fractions y, so the dynamics also use it as
+        the predicate that freezes a coordinate on its face.
+        """
+        q_coef, g_coef = self.corner(at_one, np.asarray(y, dtype=float))
+        if self.beta < 1.0:
+            return g_coef > 0.0
+        if self.beta > 1.0:
+            return np.zeros_like(g_coef, dtype=bool)
+        return q_coef <= g_coef
+
+    def stiffness(self, x):
+        """Upper scale of the partials, clipped away from the walls; 0 on a face.
+
+        The partials grow like C / (u(1-u))**(beta+1) from the advantage and
+        like k / (u(1-u)) from the penalty. A coordinate sitting exactly on
+        its face is frozen there, so it contributes nothing.
+        """
+        xc = np.clip(x, 0.01, 0.99)
+        u = xc * (1.0 - xc)
+        s = self.C * u ** -(self.beta + 1.0) + self.k / u
+        return np.where((x == 0.0) | (x == 1.0), 0.0, s)
+
+
+def _groups(params: ModelParams) -> tuple[_Group, _Group]:
+    """The (W, M) views; group i's own fraction is coordinate i of a composition."""
+    return (
+        _Group(params.adv_w.C, params.adv_w.r_e, params.adv_w.beta,
+               params.sigma * params.pref_w.c * (params.mu_m / params.mu_w)),
+        _Group(params.adv_m.C, params.adv_m.r_e, params.adv_m.beta,
+               params.sigma * params.pref_m.c * (params.mu_w / params.mu_m)),
+    )

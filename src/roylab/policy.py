@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import SNAP_RADIUS, _nearest, integrate, nudge_and_settle
-from .equilibrium import EquilibriumPoint, enumerate_equilibria
+from .equilibrium import EquilibriumPoint, efficient_composition, enumerate_equilibria
 from .model import Composition, ModelParams, gammas
 
 __all__ = [
@@ -283,9 +283,7 @@ def sweep_rows(
         pt = params.with_values(**{param_name: float(v)})
         eqs = enumerate_equilibria(pt)
         stable = [e for e in eqs if e.stability in ("stable", "boundary-stable")]
-        start = observed if observed is not None else Composition(
-            pt.adv_w.r_e, pt.adv_m.r_e
-        )
+        start = observed if observed is not None else efficient_composition(pt)
         traj = integrate(pt, start, equilibria=eqs)
         settled = traj.converged_to.comp if traj.converged_to else traj.terminal
         tipped = prev_settled is not None and (

@@ -5,7 +5,7 @@ import pytest
 
 from roylab import abm
 from roylab.equilibrium import solve_closed_form_beta1
-from roylab.model import Composition, make_params
+from roylab.model import Composition, advantage_quantile, make_params
 from roylab.abm import (
     AgentPopulation,
     best_response_round,
@@ -60,6 +60,37 @@ def test_init_comp_places_requested_fractions():
     comp = pop.shares()
     assert comp.r_w == pytest.approx(0.25, abs=1e-9)
     assert comp.r_m == pytest.approx(0.75, abs=1e-9)
+
+
+def frozen_sample(params, n_w, n_m, seed, init_comp=None):
+    """(delta, sector) of sample_population as written before it shared the
+    advantage sampler: one clipped uniform block per group."""
+    rng = np.random.default_rng(seed)
+    u_w = np.clip(rng.random(n_w), 1e-15, 1.0 - 1e-15)
+    u_m = np.clip(rng.random(n_m), 1e-15, 1.0 - 1e-15)
+    delta = np.concatenate(
+        [advantage_quantile(params.adv_w, u_w), advantage_quantile(params.adv_m, u_m)]
+    )
+    if init_comp is None:
+        return delta, np.where(delta > 0.0, 1, 2).astype(np.int8)
+    sector = np.full(n_w + n_m, 2, dtype=np.int8)
+    sector[rng.permutation(n_w)[:int(round(init_comp.r_w * n_w))]] = 1
+    sector[n_w + rng.permutation(n_m)[:int(round(init_comp.r_m * n_m))]] = 1
+    return delta, sector
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0, 1.8])
+def test_population_equals_the_frozen_sampler(beta):
+    # init_comp draws its placement after the advantages, so it also checks
+    # that the generator ends where the two old calls left it
+    p = make_params(**dict(BENCH, beta=beta, C_w=1.3, C_m=0.8))
+    for seed in (0, 5, 11):
+        for n_w, n_m in ((1, 1), (1, 500), (300, 200)):
+            for init in (None, Composition(0.2, 0.7)):
+                pop = sample_population(p, n_w, n_m, seed, init_comp=init)
+                delta, sector = frozen_sample(p, n_w, n_m, seed, init)
+                assert np.array_equal(pop.delta, delta)
+                assert np.array_equal(pop.sector, sector)
 
 
 def test_pure_income_round_sorts_by_sign():

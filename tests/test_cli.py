@@ -46,8 +46,8 @@ def test_subcommand_help_exits_zero(sub, capsys):
 
 #: the flags each subcommand reads besides --config and --out
 READS = {
-    "solve": {"--resolution", "--tol"},
-    "enumerate": {"--resolution", "--tol"},
+    "solve": {"--resolution"},
+    "enumerate": {"--resolution"},
     "phase": {"--resolution"},
     "basins": {"--resolution"},
     "policy": set(),
@@ -215,6 +215,17 @@ def test_bundled_configs_run_under_every_census_subcommand(tmp_path, sub, name):
     if sub == "basins":
         argv += ["--resolution", "16"]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("sub", ["solve", "enumerate"])
+def test_tol_flag_and_key_exit_2(tmp_path, sub):
+    # the census merges points at a fixed radius; there is no tolerance
+    cfg = write_config(tmp_path, "cfg.json", {"params": BENCH_PARAMS})
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--config", cfg, "--tol", "1e-10"])
+    assert exc.value.code == 2
+    keyed = write_config(tmp_path, "keyed.json", {"params": BENCH_PARAMS, "tol": 1e-10})
+    assert main([sub, "--config", keyed]) == 2
 
 
 def test_threads_flag_and_key_exit_2(tmp_path):

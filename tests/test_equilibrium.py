@@ -184,13 +184,10 @@ def test_monotone_reports_a_census_without_a_greatest_point_in_q(monkeypatch):
     with pytest.raises(ValueError, match="re_w <= re_m"):
         solve_monotone_iteration(p.with_values(re_w=0.6, re_m=0.4))
 
-    def census(*points):
-        return [eq.EquilibriumPoint(Composition(*xy), "interior", STABLE, None, 0.0)
-                for xy in points]
-
-    # Q = [0, 0.4] x [0.6, 1]: no point in it, then two that neither dominates
-    for points in (census((0.5, 0.5)), census((0.3, 0.7), (0.2, 0.6))):
-        monkeypatch.setattr(eq, "enumerate_equilibria", lambda params, pts=points: pts)
+    # the census of Q = [0, 0.4] x [0.6, 1]: no point, then two that
+    # neither dominates
+    for points in ([], [(0.3, 0.7, "interior"), (0.2, 0.6, "interior")]):
+        monkeypatch.setattr(eq, "_census", lambda params, box, pts=points: pts)
         with pytest.raises(eq.ConsistencyError):
             solve_monotone_iteration(p)
 

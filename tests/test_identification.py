@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from roylab.equilibrium import enumerate_equilibria
-from roylab.model import Composition, TypeId, advantage_cdf, advantage_quantile, make_params
+from roylab.equilibrium import enumerate_equilibria, solve_closed_form_beta1
+from roylab.model import (
+    Composition,
+    TypeId,
+    _groups,
+    advantage_cdf,
+    advantage_quantile,
+    make_params,
+)
 from roylab.identification import (
     CandidateParams,
     GridAxis,
@@ -97,6 +104,88 @@ def test_g_star_benchmark_value():
     cand = CandidateParams(0.4, 0.6, 1.0, 0.0, 1.0, 1.0)
     gw, _ = g_star(cand, d)
     assert gw == pytest.approx(0.25 / 0.234375, abs=1e-12)
+
+
+def frozen_gain(c, z, x, y):
+    """The composition gain as model.g_interior computed it, before the
+    per-group view of model.py took over the cutoffs."""
+    return c * z * (y - x) / (x * (1.0 - x))
+
+
+def frozen_simulate(params, n_total, seed, noise, min_wage=1.0):
+    """(is_w, sector, income) of simulate_observed_data as written before it
+    shared the advantage sampler and the per-group view."""
+    comp = solve_closed_form_beta1(params).point.comp
+    rng = np.random.default_rng(seed)
+    r = params.pop_ratio
+    n_w = int(round(n_total * r / (1.0 + r)))
+    gw = frozen_gain(params.sigma * params.pref_w.c, 1.0 / r, comp.r_w, comp.r_m)
+    gm = frozen_gain(params.sigma * params.pref_m.c, r, comp.r_m, comp.r_w)
+    base_scale = 4.0 * max(params.adv_w.C, params.adv_m.C)
+    is_w = np.zeros(n_total, dtype=bool)
+    is_w[:n_w] = True
+    u = np.clip(rng.random(n_total), 1e-15, 1.0 - 1e-15)
+    delta = np.concatenate([advantage_quantile(params.adv_w, u[:n_w]),
+                            advantage_quantile(params.adv_m, u[n_w:])])
+    if noise.family == "degenerate":
+        xi = np.zeros(n_total)
+    elif noise.family == "logistic":
+        v = np.clip(rng.random(n_total), 1e-15, 1 - 1e-15)
+        xi = noise.scale * np.log(v / (1.0 - v))
+    else:
+        xi = noise.scale * rng.standard_normal(n_total)
+    cutoff = np.where(is_w, gw, gm)
+    sector = np.where(delta > cutoff + xi, 1, 2).astype(np.int8)
+    base = min_wage + rng.exponential(base_scale, size=n_total)
+    income = np.where(sector == 1, base + np.maximum(delta, 0.0),
+                      base + np.maximum(-delta, 0.0))
+    return is_w, sector, income
+
+
+#: mass pairs with pop_ratio 1, 1.5 and 0.7 / 1.3
+MASSES = [(1.0, 1.0), (1.5, 1.0), (0.7, 1.3)]
+
+
+def cutoff_params(mu_w, mu_m):
+    return make_params(mu_w=mu_w, mu_m=mu_m, c_w=0.1, c_m=0.15, C_w=1.3, C_m=0.9,
+                       re_w=0.4, re_m=0.6, sigma=0.7)
+
+
+@pytest.mark.parametrize("mu_w, mu_m", MASSES)
+def test_cutoffs_equal_the_frozen_gain(mu_w, mu_m):
+    p = cutoff_params(mu_w, mu_m)
+    r = p.pop_ratio
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(0.01, 0.99, (2, 1000))
+    # g_star weighs the candidate's c_w by 1 / r and c_m by r, as before
+    for x, y, c_w, c_m in zip(xs[:200].tolist(), ys[:200].tolist(),
+                              *rng.uniform(0.01, 1.5, (2, 200)).tolist()):
+        cand = CandidateParams(0.4, 0.6, c_w, c_m, 1.3, 0.9)
+        want = (frozen_gain(c_w, 1.0 / r, x, y), frozen_gain(c_m, r, y, x))
+        assert g_star(cand, observed_at(x, y, r)) == want
+    # simulate_observed_data reads the views of _groups, whose W weight takes
+    # mu_m / mu_w where the old cutoff took 1 / (mu_w / mu_m)
+    g_w, g_m = _groups(p)
+    assert np.array_equal(g_m.penalty(ys, xs), frozen_gain(p.sigma * p.pref_m.c, r, ys, xs))
+    want_w = frozen_gain(p.sigma * p.pref_w.c, 1.0 / r, xs, ys)
+    if 1.0 / r == mu_m / mu_w:
+        assert np.array_equal(g_w.penalty(xs, ys), want_w)
+    else:
+        # one ulp apart in the weight, so a few ulps apart in the gain
+        assert np.allclose(g_w.penalty(xs, ys), want_w, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("mu_w, mu_m", MASSES)
+def test_simulated_data_equal_the_frozen_sampler(mu_w, mu_m):
+    p = cutoff_params(mu_w, mu_m)
+    for noise in (NoiseSpec(), NoiseSpec("logistic", 0.05), NoiseSpec("gaussian", 0.1)):
+        # two agents hold one W draw at each of these mass ratios
+        for n_total, seed in ((2, 0), (3, 1), (5000, 2), (5000, 3)):
+            got = simulate_observed_data(p, n_total, seed, noise=noise)
+            is_w, sector, income = frozen_simulate(p, n_total, seed, noise)
+            assert np.array_equal(got.is_w, is_w)
+            assert np.array_equal(got.sector, sector)
+            assert np.array_equal(got.income, income)
 
 
 def test_g_star_boundary_composition_rejected():
