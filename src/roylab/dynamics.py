@@ -342,6 +342,21 @@ def basins(
     return BasinMap(resolution=n, labels=labels.reshape(n, n), equilibria=equilibria)
 
 
+def _clamp(start: Composition, floor) -> Composition:
+    """start with both fractions clamped into [floor, 1 - floor] (see nudge_and_settle)."""
+    if np.isscalar(floor):
+        f_w = f_m = float(floor)
+    else:
+        f_w, f_m = map(float, floor)
+    for f in (f_w, f_m):
+        if not (0.0 <= f < 0.5):
+            raise ValueError(f"floor must lie in [0, 0.5), got {f}")
+    return Composition(
+        min(max(start.r_w, f_w), 1.0 - f_w),
+        min(max(start.r_m, f_m), 1.0 - f_m),
+    )
+
+
 def nudge_and_settle(
     params: ModelParams,
     start: Composition,
@@ -354,19 +369,9 @@ def nudge_and_settle(
     The tipping flag compares the settled point with the equilibrium nearest
     to the starting composition.
     """
-    if np.isscalar(floor):
-        f_w = f_m = float(floor)
-    else:
-        f_w, f_m = map(float, floor)
-    for f in (f_w, f_m):
-        if not (0.0 <= f < 0.5):
-            raise ValueError(f"floor must lie in [0, 0.5), got {f}")
+    post = _clamp(start, floor)
     if equilibria is None:
         equilibria = enumerate_equilibria(params)
-    post = Composition(
-        min(max(start.r_w, f_w), 1.0 - f_w),
-        min(max(start.r_m, f_m), 1.0 - f_m),
-    )
     traj = integrate(params, post, equilibria=equilibria)
     if traj.converged_to is None:
         raise IntegrationError(

@@ -271,8 +271,14 @@ def solve_monotone_iteration(params: ModelParams) -> EquilibriumPoint:
 
 _OPEN_EPS = 1e-12
 
+#: Newton iterations before a seed counts as stalled
+_NEWTON_ITER = 80
 
-def _newton_batch(params: ModelParams, x0, y0, tol: float, max_iter: int = 80):
+#: solve_from_seed's equilibrium tolerance, for Newton and its fallback
+_SEED_TOL = 1e-10
+
+
+def _newton_batch(params: ModelParams, x0, y0, tol: float):
     """Damped Newton with the exact Jacobian on a batch of seeds.
 
     Returns (x, y, ok): seeds whose iterates left the open square or stalled
@@ -290,7 +296,7 @@ def _newton_batch(params: ModelParams, x0, y0, tol: float, max_iter: int = 80):
     def norm2(a, b):
         return a * a + b * b
 
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITER):
         if not np.any(alive):
             break
         xc = np.clip(x, _OPEN_EPS, 1 - _OPEN_EPS)
@@ -342,9 +348,7 @@ def _newton_batch(params: ModelParams, x0, y0, tol: float, max_iter: int = 80):
     return x, y, ok
 
 
-def solve_from_seed(
-    params: ModelParams, seed: Composition, tol: float = 1e-10
-) -> EquilibriumPoint | None:
+def solve_from_seed(params: ModelParams, seed: Composition) -> EquilibriumPoint | None:
     """Find an interior equilibrium by damped Newton from one seed.
 
     When the Newton iterates leave the open square or stall, a Gauss-Seidel
@@ -355,12 +359,12 @@ def solve_from_seed(
     """
     if not seed.interior:
         raise ValueError("seed must be interior")
-    x, y, ok = _newton_batch(params, [seed.r_w], [seed.r_m], tol)
+    x, y, ok = _newton_batch(params, [seed.r_w], [seed.r_m], _SEED_TOL)
     if ok[0]:
         comp = Composition(float(x[0]), float(y[0]))
     else:
         comp = _gauss_seidel(params, seed)
-        if comp is None or residual(params, comp).norm >= tol:
+        if comp is None or residual(params, comp).norm >= _SEED_TOL:
             return None
     return _rest_point(params, comp, INTERIOR)
 
@@ -400,8 +404,9 @@ def _corner_numeric_consistent(g: _Group, at_one: bool, other: float, analytic: 
     """
     if g.corner(at_one, other)[1] <= 0.0:
         # penalty does not diverge: the exact margin at small d settles it;
-        # a mass d stepping off the clamp must not gain
-        e = g.component(1.0 - 1e-8 if at_one else 1e-8, other)
+        # a mass d stepping off the clamp must not gain. On np.float64 an
+        # underflowing tail (d(1 - d)) ** beta makes the margin infinite
+        e = g.component(np.float64(1.0 - 1e-8 if at_one else 1e-8), other)
         return analytic == ((e if at_one else -e) >= 0.0)
     ratios = []
     for d in 10.0 ** -np.arange(2, 9):

@@ -61,6 +61,9 @@ SLACK_TOL = -1e-9
 #: of the observed composition
 CONSISTENCY_TOL = 0.01
 
+#: wage floor of the datasets simulate_observed_data draws
+SIM_MIN_WAGE = 1.0
+
 _QUAD_NODES = 64
 _QUAD_SPAN = 8.0  # integration half-width in noise scales
 
@@ -128,6 +131,9 @@ class ObservedData:
     def __post_init__(self):
         if self.income.size == 0:
             raise ValueError("observed dataset is empty")
+        if not (np.all(np.isfinite(self.income))
+                and math.isfinite(self.pop_ratio) and math.isfinite(self.min_wage)):
+            raise ValueError("incomes, population ratio and minimum wage must be finite")
         if self.pop_ratio <= 0.0:
             raise ValueError("population ratio must be positive")
         if self.min_wage < 0.0:
@@ -283,19 +289,13 @@ class IdentifiedSet:
     diagnostics: list[dict]
 
 
-def empirical_joint_cdf(
-    data: ObservedData, y: float, sector: int, t: TypeId, tail: bool = False
-) -> float:
+def empirical_joint_cdf(data: ObservedData, y, sector: int, t: TypeId):
     """Fraction of all samples in a group-sector cell at or below y.
 
-    With tail=True the strict upper tail (income > y) is counted instead;
-    both are normalized by the full sample size, so group weights enter as
-    empirical shares.
+    Normalized by the full sample size, so group weights enter as empirical
+    shares. Accepts a threshold or an array of thresholds.
     """
-    cell = data.cell(t, sector)
-    k = int(np.searchsorted(cell, y, side="right"))
-    count = cell.size - k if tail else k
-    return count / data.size
+    return np.searchsorted(data.cell(t, sector), y, side="right") / data.size
 
 
 def g_star(candidate: CandidateParams, data: ObservedData) -> tuple[float, float]:
@@ -313,9 +313,31 @@ def g_star(candidate: CandidateParams, data: ObservedData) -> tuple[float, float
     return float(g_w.penalty(comp.r_w, comp.r_m)), float(g_m.penalty(comp.r_m, comp.r_w))
 
 
-def _g_star_for(candidate: CandidateParams, data: ObservedData, t: TypeId) -> float:
-    gw, gm = g_star(candidate, data)
-    return gw if t is TypeId.W else gm
+def _thresholds(data: ObservedData, y) -> np.ndarray:
+    """Income thresholds as an array, nonempty and at least the wage floor (NaN fails)."""
+    y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise ValueError("income thresholds must be nonempty")
+    if not np.all(y >= data.min_wage):
+        raise ValueError("income thresholds must be at least the minimum wage")
+    return y
+
+
+def _lower_bounds(candidate, data, t, y, noise) -> tuple[np.ndarray, np.ndarray]:
+    """Model lower bounds of sides 1 and 2 for group t at each threshold in y.
+
+    Side 1 integrates max(0, F(y - w_min) - F(g* + xi)) over the noise law;
+    side 2 integrates max(0, F(g* + xi) - F(w_min - y)). Both carry the
+    group's population share so they compare against joint empirical
+    frequencies.
+    """
+    nodes, weights = noise.quadrature()
+    adv, share = candidate.adv(t), data.share(t)
+    f_cut = advantage_cdf(adv, g_star(candidate, data)[t is TypeId.M] + nodes)[None, :]
+    f_low = advantage_cdf(adv, y - data.min_wage)[:, None]
+    f_hi = advantage_cdf(adv, data.min_wage - y)[:, None]
+    return (share * np.maximum(0.0, f_low - f_cut) @ weights,
+            share * np.maximum(0.0, f_cut - f_hi) @ weights)
 
 
 def lhs_moment(
@@ -326,28 +348,11 @@ def lhs_moment(
     noise: NoiseSpec,
     data: ObservedData,
 ) -> float:
-    """Model-implied lower bound at one income threshold.
-
-    Side 1 integrates max(0, F(y - w_min) - F(g* + xi)) over the noise law;
-    side 2 integrates max(0, F(g* + xi) - F(w_min - y)). Both carry the
-    group's population share so they compare against joint empirical
-    frequencies.
-    """
-    if y < data.min_wage:
-        raise ValueError("income thresholds below the minimum wage are vacuous")
+    """Model-implied lower bound at one income threshold (see _lower_bounds)."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    adv = candidate.adv(t)
-    gs = _g_star_for(candidate, data, t)
-    nodes, weights = noise.quadrature()
-    f_cut = advantage_cdf(adv, gs + nodes)
-    if side == 1:
-        f_y = advantage_cdf(adv, y - data.min_wage)
-        integrand = np.maximum(0.0, f_y - f_cut)
-    else:
-        f_y = advantage_cdf(adv, data.min_wage - y)
-        integrand = np.maximum(0.0, f_cut - f_y)
-    return data.share(t) * float(np.dot(weights, integrand))
+    y = _thresholds(data, [y])
+    return float(_lower_bounds(candidate, data, t, y, noise)[side - 1][0])
 
 
 def check_inequalities(
@@ -365,27 +370,12 @@ def check_inequalities(
     down to the wage floor, which is what makes the advantage interval
     observable.
     """
-    y_grid = np.asarray(y_grid, dtype=float)
-    if y_grid.size == 0:
-        raise ValueError("y_grid must be nonempty")
-    if np.any(y_grid < data.min_wage):
-        raise ValueError("y_grid values must be at least the minimum wage")
-    nodes, weights = noise.quadrature()
+    y_grid = _thresholds(data, y_grid)
     violations = []
     for t in (TypeId.W, TypeId.M):
-        adv = candidate.adv(t)
-        share = data.share(t)
-        f_cut = advantage_cdf(adv, _g_star_for(candidate, data, t) + nodes)
-        f_low = advantage_cdf(adv, y_grid - data.min_wage)
-        lhs1 = share * np.maximum(0.0, f_low[:, None] - f_cut[None, :]) @ weights
-        cell1 = data.cell(t, 1)
-        rhs1 = np.searchsorted(cell1, y_grid, side="right") / data.size
-        f_hi = advantage_cdf(adv, data.min_wage - y_grid)
-        lhs2 = share * np.maximum(0.0, f_cut[None, :] - f_hi[:, None]) @ weights
-        cell2 = data.cell(t, 2)
-        rhs2 = np.searchsorted(cell2, y_grid, side="right") / data.size
-        for side, slack_arr in ((1, lhs1 - rhs1), (2, lhs2 - rhs2)):
-            for y, slack in zip(y_grid, slack_arr):
+        for side, lhs in enumerate(_lower_bounds(candidate, data, t, y_grid, noise), start=1):
+            slacks = lhs - empirical_joint_cdf(data, y_grid, side, t)
+            for y, slack in zip(y_grid, slacks):
                 if slack < SLACK_TOL:
                     violations.append(Violation(t, float(y), side, float(slack)))
     return violations
@@ -460,18 +450,17 @@ def simulate_observed_data(
     n_total: int,
     seed: int,
     noise: NoiseSpec = NoiseSpec(),
-    min_wage: float = 1.0,
-    base_scale: float | None = None,
     comp: Composition | None = None,
 ) -> ObservedData:
     """Generate a synthetic dataset consistent with the model's premises.
 
     Potential incomes are built as base + max(delta, 0) in sector 1 and
-    base + max(-delta, 0) in sector 2 with base = min_wage + an exponential
-    level draw, so the advantage law is exact, both potential incomes
-    respect the wage floor, and only the advantage law matters for the
-    bounds. Sector choice follows the noisy cutoff rule at the equilibrium
-    composition, which defaults to the closed form for unit tail exponent.
+    base + max(-delta, 0) in sector 2 with base = SIM_MIN_WAGE plus an
+    exponential level draw of mean 4 max(C_w, C_m), so the advantage law is
+    exact, both potential incomes respect the wage floor, and only the
+    advantage law matters for the bounds. Sector choice follows the noisy
+    cutoff rule at the equilibrium composition, which defaults to the closed
+    form for unit tail exponent.
     """
     if comp is None:
         comp = solve_closed_form_beta1(params).point.comp
@@ -481,9 +470,6 @@ def simulate_observed_data(
     r = params.pop_ratio
     n_w = int(round(n_total * r / (1.0 + r)))
     n_m = n_total - n_w
-
-    if base_scale is None:
-        base_scale = 4.0 * max(params.adv_w.C, params.adv_m.C)
 
     is_w = np.zeros(n_total, dtype=bool)
     is_w[:n_w] = True
@@ -498,7 +484,8 @@ def simulate_observed_data(
     g_w, g_m = _groups(params)
     cutoff = np.where(is_w, g_w.penalty(comp.r_w, comp.r_m), g_m.penalty(comp.r_m, comp.r_w))
     sector = np.where(delta > cutoff + xi, 1, 2).astype(np.int8)
-    base = min_wage + rng.exponential(base_scale, size=n_total)
+    base_scale = 4.0 * max(params.adv_w.C, params.adv_m.C)
+    base = SIM_MIN_WAGE + rng.exponential(base_scale, size=n_total)
     income = np.where(sector == 1, base + np.maximum(delta, 0.0),
                       base + np.maximum(-delta, 0.0))
     return ObservedData(
@@ -507,5 +494,5 @@ def simulate_observed_data(
         income=income,
         observed_comp=comp,
         pop_ratio=r,
-        min_wage=min_wage,
+        min_wage=SIM_MIN_WAGE,
     )

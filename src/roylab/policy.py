@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import SNAP_RADIUS, _nearest, integrate, nudge_and_settle
+from .dynamics import SNAP_RADIUS, _clamp, _nearest, integrate
 from .equilibrium import EquilibriumPoint, efficient_composition, enumerate_equilibria
 from .model import Composition, ModelParams, gammas
 
@@ -219,7 +219,8 @@ def compare(params: ModelParams, policy: Policy, observed: Composition) -> Polic
     parameters; parameter policies integrate from the observed state under
     the new parameters. Both equilibrium sets come from the default census.
     Pre-policy equilibria with no post-policy counterpart within
-    MATCH_RADIUS are reported as disappeared.
+    MATCH_RADIUS are reported as disappeared. Dynamics that do not settle
+    onto an enumerated equilibrium raise DataInconsistentError.
     """
     before = enumerate_equilibria(params)
     origin, d = _nearest(before, observed)
@@ -232,23 +233,20 @@ def compare(params: ModelParams, policy: Policy, observed: Composition) -> Polic
     new_params, clamp = apply_policy(params, policy)
     after = before if new_params == params else enumerate_equilibria(new_params)
 
-    if clamp is not None:
-        nudge = nudge_and_settle(params, observed, clamp, equilibria=after)
-        settled, tipped = nudge.settled, nudge.tipped
-    else:
-        traj = integrate(new_params, observed, equilibria=after)
-        if traj.converged_to is None:
-            raise DataInconsistentError(
-                "post-policy dynamics did not settle onto an enumerated equilibrium"
-            )
-        settled = traj.converged_to
-        tipped = (
-            max(
-                abs(settled.comp.r_w - origin.comp.r_w),
-                abs(settled.comp.r_m - origin.comp.r_m),
-            )
-            > SNAP_RADIUS
+    start = observed if clamp is None else _clamp(observed, clamp)
+    traj = integrate(new_params, start, equilibria=after)
+    if traj.converged_to is None:
+        raise DataInconsistentError(
+            "post-policy dynamics did not settle onto an enumerated equilibrium"
         )
+    settled = traj.converged_to
+    tipped = (
+        max(
+            abs(settled.comp.r_w - origin.comp.r_w),
+            abs(settled.comp.r_m - origin.comp.r_m),
+        )
+        > SNAP_RADIUS
+    )
     disappeared = [
         eq for eq in before if _nearest(after, eq.comp)[1] > MATCH_RADIUS
     ]

@@ -192,6 +192,21 @@ def test_policy_observed_off_equilibrium_exits_4(tmp_path, capsys):
     assert main(["policy", "--config", cfg]) == 4
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:overflow encountered:RuntimeWarning")
+def test_policy_quota_that_does_not_settle_exits_4(tmp_path, capsys):
+    # the only census point here has a residual norm near 1e19, so the
+    # clamped state settles onto no enumerated equilibrium
+    params = {"mu_w": 0.422, "mu_m": 1, "c_w": 2.42, "c_m": 1.55, "C_w": 1, "C_m": 0.351,
+              "beta": 33.8, "re_w": 0.395, "re_m": 0.418}
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {"params": params, "policy": {"type": "quota", "floor": 0.1}, "observed": [0.395, 0.395]},
+    )
+    assert main(["policy", "--config", cfg]) == 4
+    assert "did not settle" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"params": BENCH_PARAMS, "mystery": 1})
     assert main(["solve", "--config", cfg]) == 2
@@ -332,3 +347,24 @@ def test_identify_malformed_row_exits_2(tmp_path, capsys):
     )
     assert main(["identify", "--config", cfg]) == 2
     assert "row 3" in capsys.readouterr().err
+
+
+def test_identify_nan_income_exits_2(tmp_path, capsys):
+    data = simulate_observed_data(make_params(c_w=0.1, c_m=0.1, re_w=0.4, re_m=0.6), 2000, seed=11)
+    (tmp_path / "data.csv").write_text(data.to_csv() + "w,1,nan\n")
+    sidecar = dict(data.sidecar_dict(), noise={"family": "degenerate", "scale": 0.0})
+    (tmp_path / "side.json").write_text(json.dumps(sidecar))
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {
+            "data_csv": str(tmp_path / "data.csv"),
+            "sidecar": str(tmp_path / "side.json"),
+            "grid": {
+                "re_w": [0.4, 0.4, 1], "re_m": [0.6, 0.6, 1],
+                "c_w": [0.1, 0.1, 1], "c_m": [0.1, 0.1, 1],
+                "C_w": [1.0, 1.0, 1], "C_m": [1.0, 1.0, 1],
+            },
+        },
+    )
+    assert main(["identify", "--config", cfg]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -324,6 +324,16 @@ def test_enumerate_grid_floor():
         enumerate_equilibria(make_params(**BENCH), grid_n=8)
 
 
+@pytest.mark.parametrize("beta", [41.0, 60.0, 80.0])
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:overflow encountered:RuntimeWarning")
+def test_enumerate_survives_an_underflowing_tail(beta):
+    # from beta 40.5 on, (d(1 - d)) ** beta underflows to 0 at the corner
+    # check's d = 1e-8, which raised ZeroDivisionError in Python floats
+    p = make_params(c_w=0.5, c_m=0.5, beta=beta, re_w=0.5, re_m=0.5)
+    assert len(enumerate_equilibria(p)) >= 1
+
+
 @pytest.mark.parametrize(
     "kw, expected",
     [

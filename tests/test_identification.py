@@ -11,6 +11,7 @@ from roylab.model import (
     make_params,
 )
 from roylab.identification import (
+    SLACK_TOL,
     CandidateParams,
     GridAxis,
     GridSpec,
@@ -24,6 +25,7 @@ from roylab.identification import (
     identified_set,
     lhs_moment,
     simulate_observed_data,
+    Violation,
 )
 
 TRUTH = make_params(c_w=0.1, c_m=0.1, beta=1.0, re_w=0.4, re_m=0.6)
@@ -51,8 +53,8 @@ def test_empirical_joint_cdf_hand_counts():
     assert empirical_joint_cdf(d, 2.0, 1, TypeId.W) == 0.25
     assert empirical_joint_cdf(d, 1.5, 1, TypeId.W) == 0.0
     assert empirical_joint_cdf(d, 10.0, 2, TypeId.M) == 0.25
-    assert empirical_joint_cdf(d, 4.5, 2, TypeId.M, tail=True) == 0.25
-    assert empirical_joint_cdf(d, 5.0, 2, TypeId.M, tail=True) == 0.0
+    got = empirical_joint_cdf(d, np.array([1.5, 2.0, 3.0, 10.0]), 1, TypeId.W)
+    assert np.array_equal(got, [0.0, 0.25, 0.25, 0.25])
 
 
 def test_empty_dataset_rejected():
@@ -65,6 +67,31 @@ def test_empty_dataset_rejected():
             pop_ratio=1.0,
             min_wage=0.0,
         )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("income", np.array([2.0, np.nan, 4.0, 5.0])),
+    ("income", np.array([2.0, 3.0, np.inf, 5.0])),
+    ("pop_ratio", np.nan),
+    ("pop_ratio", np.inf),
+    ("min_wage", np.nan),
+])
+def test_non_finite_data_rejected(field, value):
+    # every comparison with NaN is False, so a NaN would pass the range checks
+    # and turn off every inequality
+    d = tiny_data()
+    fields = dict(is_w=d.is_w, sector=d.sector, income=d.income, observed_comp=d.observed_comp,
+                  pop_ratio=d.pop_ratio, min_wage=d.min_wage)
+    with pytest.raises(ValueError, match="finite"):
+        ObservedData(**{**fields, field: value})
+
+
+def test_nan_income_row_rejected_on_load():
+    data = simulate_observed_data(TRUTH, 20_000, seed=11)
+    with pytest.raises(ValueError, match="finite"):
+        ObservedData.from_csv(data.to_csv() + "w,1,nan\n", data.sidecar_dict())
+    with pytest.raises(ValueError, match="finite"):
+        ObservedData.from_csv(data.to_csv(), dict(data.sidecar_dict(), min_wage=float("nan")))
 
 
 def test_csv_round_trip():
@@ -255,6 +282,16 @@ def test_quadrature_matches_monte_carlo(noise):
             assert abs(got2 - mc2) < 2e-3
 
 
+@pytest.mark.parametrize("y", [0.5, np.nan])
+def test_thresholds_below_the_wage_floor_rejected(y):
+    # NaN fails the floor check too, rather than turning every bound off
+    d = tiny_data()
+    with pytest.raises(ValueError, match="minimum wage"):
+        lhs_moment(TRUTH_CAND, TypeId.W, y, 1, NoiseSpec(), d)
+    with pytest.raises(ValueError, match="minimum wage"):
+        check_inequalities(TRUTH_CAND, d, [2.0, y], NoiseSpec())
+
+
 def test_moment_sides_monotone_in_threshold():
     # both sides of each bound move the same way in y, so a threshold grid
     # samples the constraints where they bind
@@ -310,6 +347,95 @@ def test_empty_cell_is_never_violated():
     )
     violations = check_inequalities(TRUTH_CAND, d, [1.0, 2.0, 5.0], NoiseSpec())
     assert all(not (v.t is TypeId.W and v.side == 1) for v in violations)
+
+
+def frozen_check_inequalities(candidate, data, y_grid, noise):
+    """check_inequalities as written before the bounds were read from one
+    kernel and the counts from empirical_joint_cdf."""
+    y_grid = np.asarray(y_grid, dtype=float)
+    nodes, weights = noise.quadrature()
+    violations = []
+    for t in (TypeId.W, TypeId.M):
+        adv = candidate.adv(t)
+        share = data.share(t)
+        f_cut = advantage_cdf(adv, g_star(candidate, data)[0 if t is TypeId.W else 1] + nodes)
+        f_low = advantage_cdf(adv, y_grid - data.min_wage)
+        lhs1 = share * np.maximum(0.0, f_low[:, None] - f_cut[None, :]) @ weights
+        cell1 = data.cell(t, 1)
+        rhs1 = np.searchsorted(cell1, y_grid, side="right") / data.size
+        f_hi = advantage_cdf(adv, data.min_wage - y_grid)
+        lhs2 = share * np.maximum(0.0, f_cut[None, :] - f_hi[:, None]) @ weights
+        cell2 = data.cell(t, 2)
+        rhs2 = np.searchsorted(cell2, y_grid, side="right") / data.size
+        for side, slack_arr in ((1, lhs1 - rhs1), (2, lhs2 - rhs2)):
+            for y, slack in zip(y_grid, slack_arr):
+                if slack < SLACK_TOL:
+                    violations.append(Violation(t, float(y), side, float(slack)))
+    return violations
+
+
+#: the identify benchmark's 729-candidate grid
+BENCH_GRID = GridSpec(
+    re_w=GridAxis(0.3, 0.5, 3),
+    re_m=GridAxis(0.5, 0.7, 3),
+    c_w=GridAxis(0.05, 0.15, 3),
+    c_m=GridAxis(0.05, 0.15, 3),
+    C_w=GridAxis(0.8, 1.2, 3),
+    C_m=GridAxis(0.8, 1.2, 3),
+)
+
+NOISES = [NoiseSpec(), NoiseSpec("logistic", 0.05), NoiseSpec("gaussian", 0.1)]
+
+
+def with_beta(cand, beta):
+    return CandidateParams(cand.re_w, cand.re_m, cand.c_w, cand.c_m, cand.C_w, cand.C_m, beta)
+
+
+@pytest.mark.parametrize("k", range(len(NOISES)))
+def test_check_inequalities_equal_the_frozen_copy(k):
+    noise = NOISES[k]
+    data = simulate_observed_data(TRUTH, 100_000, seed=20 + k, noise=noise)
+    y_grid = default_y_grid(data)
+    cands = list(BENCH_GRID.candidates())
+    # beta != 1 takes the bisection CDF path
+    cands += [with_beta(c, beta) for beta in (0.5, 1.5, 2.0) for c in cands[::97]]
+    n_violations = 0
+    for cand in cands:
+        got = check_inequalities(cand, data, y_grid, noise)
+        assert got == frozen_check_inequalities(cand, data, y_grid, noise), cand
+        n_violations += len(got)
+    assert n_violations > 5000
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_moment_sides_give_the_reported_slacks(noise):
+    # pop_ratio 1.5 makes the share product inexact, so the slack of
+    # check_inequalities at one threshold equals lhs_moment - empirical_joint_cdf
+    # bit for bit only if both sum in the same order
+    truth = make_params(mu_w=1.5, c_w=0.1, c_m=0.1, re_w=0.4, re_m=0.6)
+    data = simulate_observed_data(truth, 20_000, seed=31, noise=noise)
+    y_grid = default_y_grid(data)
+    n_violations = 0
+    for cand in list(BENCH_GRID.candidates())[::27] + [with_beta(TRUTH_CAND, 1.5)]:
+        slacks = {}
+        for y in y_grid.tolist():
+            want = []
+            for t in (TypeId.W, TypeId.M):
+                for side in (1, 2):
+                    slack = float(lhs_moment(cand, t, y, side, noise, data)
+                                  - empirical_joint_cdf(data, y, side, t))
+                    slacks[t, side, y] = slack
+                    if slack < SLACK_TOL:
+                        want.append(Violation(t, y, side, slack))
+            assert check_inequalities(cand, data, [y], noise) == want, (cand, y)
+            n_violations += len(want)
+        # on the whole grid the BLAS matrix-vector product may sum a row in
+        # another order, so the slacks there agree to a few ulps
+        grid = check_inequalities(cand, data, y_grid, noise)
+        assert {(v.t, v.side, v.y) for v in grid} == {k for k, s in slacks.items() if s < SLACK_TOL}
+        for v in grid:
+            assert v.slack == pytest.approx(slacks[v.t, v.side, v.y], rel=0.0, abs=1e-15)
+    assert n_violations > 100
 
 
 def test_equilibrium_consistency_verdicts():
