@@ -11,12 +11,12 @@ solves are the model's: each group's advantage, composition gain, rest
 curve, exact partials and corner test come from the per-group view
 model._Group.
 
-The enumeration is one-dimensional. With k > 0 a group's equation is zero
-exactly on its rest curve, the explicit graph partner = own + C (r_e - own)
-(own (1 - own)) ** (1 - beta) / k, so interior equilibria are the crossings
-of the two curves and edge points are the roots of one equation along a
-wall. Every scan runs on one wall-aware axis and bisects each sign change
-down to adjacent floats.
+The enumeration is one-dimensional. With k > 0 a group's equation has the
+sign of rest - partner, rest being its explicit rest curve own + C (r_e -
+own) (own (1 - own)) ** (1 - beta) / k; with k = 0 it rests at own = r_e.
+Interior equilibria are the crossings of the two curves, and edge points
+are where the free group's rest curve meets the clamp level. Every scan
+bisects a rest-curve function on one wall-aware axis to adjacent floats.
 """
 
 from __future__ import annotations
@@ -278,20 +278,20 @@ _NEWTON_ITER = 80
 _SEED_TOL = 1e-10
 
 
-def _newton_batch(params: ModelParams, x0, y0, tol: float):
+def _newton_batch(params: ModelParams, x0, y0):
     """Damped Newton with the exact Jacobian on a batch of seeds.
 
-    Returns (x, y, ok): seeds whose iterates left the open square or stalled
-    have ok = False. Runs all seeds in lockstep with numpy; converged points
-    are polished to machine level so duplicates from different seeds agree
-    far below the merge radius.
+    Returns (x, y, ok): seeds whose iterates left the open square, stalled
+    or ended off _SEED_TOL have ok = False. Runs all seeds in lockstep with
+    numpy; converged points are polished to machine level so duplicates
+    from different seeds agree far below the merge radius.
     """
     x = np.array(x0, dtype=float).ravel().copy()
     y = np.array(y0, dtype=float).ravel().copy()
     alive = (x > _OPEN_EPS) & (x < 1 - _OPEN_EPS) & (y > _OPEN_EPS) & (y < 1 - _OPEN_EPS)
     # residual floor below which a point is frozen as converged; well under
-    # tol so duplicates from different seeds coincide to ~1e-13 in position
-    floor = min(1e-13, tol * 1e-2)
+    # _SEED_TOL so duplicates from different seeds coincide to ~1e-13 in position
+    floor = 1e-13
 
     def norm2(a, b):
         return a * a + b * b
@@ -341,7 +341,7 @@ def _newton_batch(params: ModelParams, x0, y0, tol: float):
     ew, em = residual_arrays(params, np.clip(x, _OPEN_EPS, 1 - _OPEN_EPS),
                              np.clip(y, _OPEN_EPS, 1 - _OPEN_EPS))
     ok = (
-        (np.maximum(np.abs(ew), np.abs(em)) < tol)
+        (np.maximum(np.abs(ew), np.abs(em)) < _SEED_TOL)
         & (x > _OPEN_EPS) & (x < 1 - _OPEN_EPS)
         & (y > _OPEN_EPS) & (y < 1 - _OPEN_EPS)
     )
@@ -359,7 +359,7 @@ def solve_from_seed(params: ModelParams, seed: Composition) -> EquilibriumPoint 
     """
     if not seed.interior:
         raise ValueError("seed must be interior")
-    x, y, ok = _newton_batch(params, [seed.r_w], [seed.r_m], _SEED_TOL)
+    x, y, ok = _newton_batch(params, [seed.r_w], [seed.r_m])
     if ok[0]:
         comp = Composition(float(x[0]), float(y[0]))
     else:
@@ -376,7 +376,7 @@ def _gauss_seidel(params: ModelParams, seed: Composition) -> Composition | None:
     for _ in range(200):
         step = 0.0
         for i, g in enumerate(groups):
-            roots = _roots_along(g, r[1 - i], _axis(_CENSUS_GRID))
+            roots = _level_roots(g, r[1 - i], _axis(_CENSUS_GRID))
             if not roots:
                 return None
             new = min(roots, key=lambda v: abs(v - r[i]))
@@ -394,6 +394,9 @@ def _gauss_seidel(params: ModelParams, seed: Composition) -> Composition | None:
 # ---------------------------------------------------------------------------
 
 
+# the checks run on np.float64: a tail (d(1 - d)) ** beta that underflows
+# makes the advantage infinite, its limit, and the margin and ratio follow
+@np.errstate(divide="ignore", over="ignore")
 def _corner_numeric_consistent(g: _Group, at_one: bool, other: float, analytic: bool) -> bool:
     """Check the clamp inequality on d = 1e-2 .. 1e-8 against the analytic verdict.
 
@@ -468,8 +471,14 @@ def _eig2(j11: float, j12: float, j21: float, j22: float) -> tuple[complex, comp
     tr = j11 + j22
     det = j11 * j22 - j12 * j21
     disc = tr * tr - 4.0 * det
-    root = math.sqrt(disc) if disc >= 0.0 else complex(0.0, math.sqrt(-disc))
-    return (complex(tr + root) / 2.0, complex(tr - root) / 2.0)
+    if disc < 0.0:
+        root = complex(0.0, math.sqrt(-disc))
+        return (complex(tr + root) / 2.0, complex(tr - root) / 2.0)
+    # the root of larger magnitude from the formula, the other as det / it:
+    # tr - sqrt(disc) cancels when the two lie many decades apart
+    big = (tr + math.copysign(math.sqrt(disc), tr)) / 2.0
+    small = det / big if big != 0.0 else 0.0
+    return (complex(max(big, small)), complex(min(big, small)))
 
 
 def classify_stability(
@@ -531,13 +540,14 @@ def enumerate_equilibria(params: ModelParams, grid_n: int = _CENSUS_GRID) -> lis
     geometric points toward each wall, from 1e-14 to 2.5e-4. Interior
     points are the sign changes of X_M(Y_W(x)) - x, the M rest curve after
     the W one, kept when Y_W(x) lies in (0, 1); a group with k = 0 rests
-    on the line own = r_e, along which the other group's equation is
-    solved. Edge candidates are the roots of the free coordinate's equation
-    along each edge, kept when the clamped coordinate passes the corner
-    test; a candidate whose corner tests contradict each other is dropped
-    with a warning. Vertices are kept when both clamps pass. Vertices,
-    then edge points, then interior points merge at L-infinity distance
-    1e-9; no other crossing is dropped, whatever its residual norm.
+    on the line own = r_e, where the other group's rest curve crosses
+    the level r_e. Edge candidates are where the free group's rest curve
+    meets the clamp level, or its r_e when k = 0, kept when the clamped
+    coordinate passes the corner test; a candidate whose corner tests
+    contradict each other is dropped with a warning. Vertices are kept when
+    both clamps pass. Vertices, then edge points, then interior points
+    merge at L-infinity distance 1e-9; no other crossing is dropped,
+    whatever its residual norm.
     Since every root is bisected to adjacent floats, grid_n sets the scan
     density only; below 16 it is rejected.
     """
@@ -576,16 +586,19 @@ def _census(params: ModelParams, grid_n: int = _CENSUS_GRID, box=((0.0, 1.0), (0
             _push(vx, vy, VERTEX)
 
     groups = _groups(params)
-    for edge_kind, (free, clamp) in _EDGES.items():
-        if not box[1 - free][0] <= clamp <= box[1 - free][1]:
-            continue
-        for root in _roots_along(groups[free], clamp, windows[free]):
-            px, py = (root, clamp) if free == 0 else (clamp, root)
-            if _corner_filter(params, Composition(px, py)):
-                _push(px, py, edge_kind)
+    # near a wall (x(1 - x)) ** (1 - beta) overflows for beta > 1 and the
+    # rest curve takes its limit, +-inf, which keeps the sign the scans read
+    with np.errstate(over="ignore"):
+        for edge_kind, (free, clamp) in _EDGES.items():
+            if not box[1 - free][0] <= clamp <= box[1 - free][1]:
+                continue
+            for root in _level_roots(groups[free], clamp, windows[free]):
+                px, py = (root, clamp) if free == 0 else (clamp, root)
+                if _corner_filter(params, Composition(px, py)):
+                    _push(px, py, edge_kind)
 
-    for px, py in _rest_crossings(*groups, *windows):
-        _push(px, py, INTERIOR)
+        for px, py in _rest_crossings(*groups, *windows):
+            _push(px, py, INTERIOR)
     return [p for p in found if inside(p[0], p[1])]
 
 
@@ -597,12 +610,12 @@ def _rest_crossings(g_w: _Group, g_m: _Group, axis_w, axis_m) -> list[tuple[floa
     """Interior crossings of the two rest curves, scanned along axis_w.
 
     A group with k = 0 rests on the vertical line own = r_e, so the other
-    group's equation is solved along that line, on its own axis.
+    group's rest curve is crossed with the level r_e, on its own axis.
     """
     if g_w.k == 0.0:
-        return [(g_w.r_e, y) for y in _roots_along(g_m, g_w.r_e, axis_m)]
+        return [(g_w.r_e, y) for y in _level_roots(g_m, g_w.r_e, axis_m)]
     if g_m.k == 0.0:
-        return [(x, g_m.r_e) for x in _roots_along(g_w, g_m.r_e, axis_w)]
+        return [(x, g_m.r_e) for x in _level_roots(g_w, g_m.r_e, axis_w)]
 
     def gap(x):
         return g_m.rest(np.clip(g_w.rest(x), _PARTNER_CLIP, 1.0 - _PARTNER_CLIP)) - x
@@ -656,13 +669,17 @@ def _crossings(f, axis: np.ndarray) -> np.ndarray:
     return np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi)
 
 
-def _roots_along(g: _Group, other: float, axis: np.ndarray) -> list[float]:
-    """All roots of one group's equation on the axis at a fixed partner fraction.
+def _level_roots(g: _Group, level: float, axis: np.ndarray) -> list[float]:
+    """Where one group's rest curve crosses a partner level, on the axis.
 
-    Along an edge the partner sits at its clamp; the Gauss-Seidel sweep of
-    solve_from_seed holds it at its current value.
+    With k > 0 the group's equation has the sign of rest - level; with
+    k = 0 it rests at own = r_e. Along an edge the level is the partner's
+    clamp; the Gauss-Seidel sweep of solve_from_seed holds it at the
+    partner's current value.
     """
-    return _crossings(lambda v: g.component(v, other), axis).tolist()
+    if g.k == 0.0:
+        return [g.r_e] if axis[0] <= g.r_e < axis[-1] else []
+    return _crossings(lambda v: g.rest(v) - level, axis).tolist()
 
 
 def _corner_filter(params: ModelParams, cand: Composition) -> bool:

@@ -192,8 +192,6 @@ def test_policy_observed_off_equilibrium_exits_4(tmp_path, capsys):
     assert main(["policy", "--config", cfg]) == 4
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:overflow encountered:RuntimeWarning")
 def test_policy_quota_that_does_not_settle_exits_4(tmp_path, capsys):
     # the only census point here has a residual norm near 1e19, so the
     # clamped state settles onto no enumerated equilibrium

@@ -236,7 +236,7 @@ def test_seed_where_newton_stalls_is_rescued_by_scalar_sweep():
     from roylab.equilibrium import _newton_batch
 
     p = make_params(c_w=3.5, c_m=3.5, beta=2.0, re_w=0.7, re_m=0.5)
-    assert not _newton_batch(p, [1e-6], [0.5], 1e-10)[2][0]
+    assert not _newton_batch(p, [1e-6], [0.5])[2][0]
     (only,) = enumerate_equilibria(p, grid_n=32)
     pt = solve_from_seed(p, Composition(1e-6, 0.5))
     assert pt is not None and pt.stability == STABLE
@@ -325,8 +325,6 @@ def test_enumerate_grid_floor():
 
 
 @pytest.mark.parametrize("beta", [41.0, 60.0, 80.0])
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:overflow encountered:RuntimeWarning")
 def test_enumerate_survives_an_underflowing_tail(beta):
     # from beta 40.5 on, (d(1 - d)) ** beta underflows to 0 at the corner
     # check's d = 1e-8, which raised ZeroDivisionError in Python floats
@@ -402,6 +400,18 @@ def test_efficient_point_stable_without_scale():
     label, eigs = classify_stability(p, Composition(0.4, 0.6), "interior")
     assert label == STABLE
     assert all(ev.real < 0 for ev in eigs)
+
+
+def test_eigenvalues_many_decades_apart_do_not_cancel():
+    # criterion-4 draw 48: the Jacobian spans 18 decades, and
+    # (tr - sqrt(disc)) / 2 lost the smaller eigenvalue to cancellation
+    from roylab.equilibrium import _eig2
+
+    for j11, j22 in ((-2.8e26, -4.9e8), (2.0, 3e20)):
+        larger, smaller = _eig2(j11, 0.0, 0.0, j22)
+        assert larger.real == pytest.approx(max(j11, j22), rel=1e-15)
+        assert smaller.real == pytest.approx(min(j11, j22), rel=1e-15)
+        assert larger.imag == smaller.imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +581,7 @@ def lattice_census(params, grid_n, tol=1e-10):
     ii, jj = np.nonzero(flips(np.sign(ew)) & flips(np.sign(em)))
     seeds_x.append((lat[ii] + lat[ii + 1]) / 2.0)
     seeds_y.append((lat[jj] + lat[jj + 1]) / 2.0)
-    x, y, ok = _newton_batch(params, np.concatenate(seeds_x), np.concatenate(seeds_y), tol)
+    x, y, ok = _newton_batch(params, np.concatenate(seeds_x), np.concatenate(seeds_y))
 
     found = []
 
@@ -705,6 +715,135 @@ def test_census_does_not_depend_on_grid_n():
         assert [(e.kind, e.stability) for e in coarse] == [(e.kind, e.stability) for e in fine], p
         for a, b in zip(coarse, fine):
             assert max(abs(a.comp.r_w - b.comp.r_w), abs(a.comp.r_m - b.comp.r_m)) <= 1e-14, (p, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the level scans against the residual bisection they replace
+# ---------------------------------------------------------------------------
+
+
+def frozen_crossings(f, axis):
+    """equilibrium._crossings as the residual bisection used it."""
+    vals = f(axis)
+    sign = np.sign(vals)
+    i = np.nonzero((sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0.0))[0]
+    lo, hi = axis[i], axis[i + 1]
+    f_lo, f_hi = vals[i], vals[i + 1]
+    while lo.size:
+        mid = lo + 0.5 * (hi - lo)
+        split = (mid > lo) & (mid < hi) & (f_lo != 0.0)
+        if not split.any():
+            break
+        f_mid = f(mid)
+        left = split & (np.sign(f_mid) == np.sign(f_lo))
+        right = split & ~left
+        lo, f_lo = np.where(left, mid, lo), np.where(left, f_mid, f_lo)
+        hi, f_hi = np.where(right, mid, hi), np.where(right, f_mid, f_hi)
+    return np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi)
+
+
+def residual_roots(g, level, axis):
+    """A level scan as the census ran it before the rest-curve levels: the
+    roots of the whole residual g.component(v, level) on the axis."""
+    return frozen_crossings(lambda v: g.component(v, level), axis).tolist()
+
+
+def indifferent(beta, zero):
+    """re = (0.35, 0.7) and c = 0.3, but c = 0 for the groups named in zero."""
+    kw = dict(c_w=0.3, c_m=0.3, beta=beta, re_w=0.35, re_m=0.7)
+    kw.update(dict.fromkeys(zero, 0.0))
+    return make_params(**kw)
+
+
+INDIFFERENT = [(beta, zero) for beta in (0.5, 1.0, 2.0)
+               for zero in (("c_w",), ("c_m",), ("c_w", "c_m"))]
+
+
+def level_scan_inputs(name):
+    """census_inputs, plus the criterion-5 draws at four scales and the
+    INDIFFERENT cases, both at the default census grid."""
+    if name == "criterion-5":
+        return [(p.with_values(sigma=s), 64)
+                for p in criterion_5_draws() for s in (1.0, 0.5, 0.25, 0.125)]
+    if name == "indifferent":
+        return [(indifferent(beta, zero), 64) for beta, zero in INDIFFERENT]
+    return census_inputs(name)
+
+
+@pytest.mark.filterwarnings("ignore:dropping boundary candidate")
+@pytest.mark.parametrize(
+    "inputs", ["criterion-4", "thin-tail", "configs", "criterion-5", "indifferent"]
+)
+def test_level_roots_match_the_residual_bisection(inputs):
+    # for k > 0 the residual is k / (x (1 - x)) * (rest(x) - level): the same
+    # sign changes, so a root can move only by the bracket end kept at the
+    # last floats; with k = 0 the residual vanishes at r_e alone
+    from roylab.equilibrium import _EDGES, _axis, _groups, _level_roots, _window
+    from roylab.identification import CONSISTENCY_TOL as tol
+
+    def compare(g, level, axis, flat_ok):
+        new, old = _level_roots(g, level, axis), residual_roots(g, level, axis)
+        assert len(new) == len(old), (p, g, level, new, old)
+        if g.k == 0.0:
+            assert new == old, (p, g, level, new, old)
+        for a, b in zip(new, old):
+            # where the rest curve is flatter than 1 the root is that much
+            # less defined than its level
+            slope = abs(rest_slope(g.C, g.r_e, g.beta, g.k, b)) if flat_ok and g.k else 1.0
+            assert abs(a - b) * min(slope, 1.0) <= 8.9e-16, (p, g, level, new, old)
+
+    for p, grid_n in level_scan_inputs(inputs):
+        groups = _groups(p)
+        census = [(e.comp.r_w, e.comp.r_m) for e in enumerate_equilibria(p, grid_n=grid_n)]
+        # the full census, the box of solve_monotone_iteration and the box of
+        # equilibrium_consistent around each census point
+        boxes = [(grid_n, ((0.0, 1.0), (0.0, 1.0))),
+                 (64, ((0.0, p.adv_w.r_e), (p.adv_m.r_e, 1.0)))]
+        boxes += [(64, ((x - tol, x + tol), (y - tol, y + tol))) for x, y in census]
+        for n, box in boxes:
+            windows = [_window(_axis(n), lo, hi) for lo, hi in box]
+            for free, clamp in _EDGES.values():
+                compare(groups[free], clamp, windows[free], flat_ok=False)
+            for i in (0, 1):
+                if groups[i].k == 0.0:
+                    compare(groups[1 - i], groups[i].r_e, windows[1 - i], flat_ok=False)
+        # the Gauss-Seidel sweep of solve_from_seed holds the partner at its
+        # census values as it converges, and elsewhere on its way
+        for i, g in enumerate(groups):
+            for level in sorted({pt[1 - i] for pt in census} | {0.5}):
+                compare(g, level, _axis(64), flat_ok=True)
+
+
+@pytest.mark.parametrize("beta, zero", INDIFFERENT)
+def test_census_with_an_indifferent_group(beta, zero):
+    # a group with k = 0 rests on the line own = r_e: interior points sit on
+    # it exactly, and its edge roots are r_e, where the residual bisection put them
+    from roylab.equilibrium import _EDGES, _MERGE_RADIUS, _axis, _corner_filter, _groups
+
+    p = indifferent(beta, zero)
+    groups = _groups(p)
+    eqs = enumerate_equilibria(p)
+    for e in eqs:
+        coords = (e.comp.r_w, e.comp.r_m)
+        if e.kind == "interior":
+            assert all(coords[i] == g.r_e for i, g in enumerate(groups) if g.k == 0.0), e
+
+    want = [(vx, vy, "vertex") for vx in (0.0, 1.0) for vy in (0.0, 1.0)
+            if _corner_filter(p, Composition(vx, vy))]
+    for kind, (free, clamp) in _EDGES.items():
+        for root in residual_roots(groups[free], clamp, _axis(64)):
+            px, py = (root, clamp) if free == 0 else (clamp, root)
+            far = all(max(abs(px - qx), abs(py - qy)) >= _MERGE_RADIUS for qx, qy, _ in want)
+            if far and _corner_filter(p, Composition(px, py)):
+                want.append((px, py, kind))
+    got = [(e.comp.r_w, e.comp.r_m, e.kind) for e in eqs if e.kind != "interior"]
+    assert sorted(got) == sorted(want)
+
+    if beta == 1.0:
+        cf = solve_closed_form_beta1(p).point
+        (only,) = eqs
+        assert (only.kind, only.stability) == (cf.kind, cf.stability)
+        assert max(abs(only.comp.r_w - cf.comp.r_w), abs(only.comp.r_m - cf.comp.r_m)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
