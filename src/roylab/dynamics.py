@@ -15,16 +15,25 @@ without changing orbits, rest points, stability, or basins, and it keeps
 fixed-step RK4 inside its stability region near strongly attracting rest
 points (fat-tailed advantage laws produce Jacobian norms in the hundreds,
 far beyond what an unscaled step of 0.01 tolerates).
+
+One trajectory (integrate, and through it the quota settles and the
+preference sweep) evaluates the field on Python floats; a batch (basins)
+and the phase portrait evaluate it on numpy arrays. The two fields run the
+same _Group formulas and agree bit for bit. Both RK4 loops evaluate the raw
+field at each new state for the stop test and reuse it, capped, as the
+next step's first stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .equilibrium import _CENSUS_GRID, EquilibriumPoint, _axis, enumerate_equilibria
-from .model import Composition, ModelParams, _Group, _groups
+from .model import Composition, ModelParams, _clip, _Group, _groups
 
 __all__ = [
     "Trajectory",
@@ -112,21 +121,75 @@ def _field(groups: tuple[_Group, _Group], x, y):
 
 def _coordinate_rate(g: _Group, own, partner):
     """Flow of one group's fraction `own` against the partner's fractions."""
-    v = np.asarray(g.component(np.clip(own, _FACE_OFFSET, 1.0 - _FACE_OFFSET), partner))
+    v = np.asarray(g.component(own.clip(_FACE_OFFSET, 1.0 - _FACE_OFFSET), partner))
     for at_one in (False, True):
         on_face = own == (1.0 if at_one else 0.0)
-        if np.any(on_face):
+        if on_face.any():
             inward = np.minimum(v, 0.0) if at_one else np.maximum(v, 0.0)
             v = np.where(on_face & g.holds(at_one, partner), 0.0, np.where(on_face, inward, v))
     return v
 
 
-def _field_capped(groups: tuple[_Group, _Group], x, y):
-    vx, vy = _field(groups, x, y)
+def _cap(groups: tuple[_Group, _Group], x, y, vx, vy):
+    """The raw flow (vx, vy) at (x, y) times 1 / (1 + (speed + stiffness) / V_CAP).
+
+    Python floats give Python floats. The speed is np.hypot's on both:
+    math.hypot rounds differently in the last bit.
+    """
     speed = np.hypot(vx, vy)
+    if isinstance(vx, float):
+        speed = float(speed)
     stiffness = groups[0].stiffness(x) + groups[1].stiffness(y)
     scale = 1.0 / (1.0 + (speed + stiffness) / V_CAP)
     return vx * scale, vy * scale
+
+
+def _field_capped(groups: tuple[_Group, _Group], x, y):
+    return _cap(groups, x, y, *_field(groups, x, y))
+
+
+def _point_rate(g: _Group, own: float, partner: float) -> float:
+    """_coordinate_rate at one state in Python floats."""
+    v = g.component(_clip(own, _FACE_OFFSET, 1.0 - _FACE_OFFSET), partner)
+    if own == 0.0:
+        return 0.0 if g.holds(False, partner) else max(v, 0.0)
+    if own == 1.0:
+        return 0.0 if g.holds(True, partner) else min(v, 0.0)
+    return v
+
+
+def _point_field(groups: tuple[_Group, _Group], x: float, y: float) -> tuple[float, float]:
+    """_field at one state in Python floats, bit for bit.
+
+    Where float arithmetic raises instead of giving inf (an advantage
+    factor (x(1 - x)) ** beta that underflows to 0 at large beta), the
+    numpy field gives the value, and the settle stops on it as before.
+    """
+    g_w, g_m = groups
+    try:
+        return _point_rate(g_w, x, y), _point_rate(g_m, y, x)
+    except ArithmeticError:
+        with np.errstate(all="ignore"):
+            vx, vy = _field(groups, x, y)
+        return float(vx), float(vy)
+
+
+def _point_cap(groups: tuple[_Group, _Group], x: float, y: float, vx: float, vy: float):
+    """_cap at one state in Python floats, bit for bit.
+
+    A stiffness that overflows a float (beta above about 153, past the
+    laws AdvantageSpec certifies) is taken from numpy, as in _point_field.
+    """
+    try:
+        return _cap(groups, x, y, vx, vy)
+    except OverflowError:
+        with np.errstate(all="ignore"):
+            kx, ky = _cap(groups, np.asarray(x), np.asarray(y), vx, vy)
+        return float(kx), float(ky)
+
+
+def _point_capped(groups: tuple[_Group, _Group], x: float, y: float) -> tuple[float, float]:
+    return _point_cap(groups, x, y, *_point_field(groups, x, y))
 
 
 def flow(params: ModelParams, comp: Composition) -> np.ndarray:
@@ -146,22 +209,18 @@ def _nearest(equilibria, comp: Composition) -> tuple[EquilibriumPoint | None, fl
     return best, best_d
 
 
-def _rk4_step(groups: tuple[_Group, _Group], x, y, dt: float):
-    """One RK4 step of the capped field from scalars or arrays x, y.
+def _rk4_step(capped, x, y, k1, dt: float):
+    """One RK4 step of the capped field from Python floats or arrays x, y.
 
-    Each stage is projected onto the unit square; the new state is returned
-    unprojected, for the caller to check and clip.
+    capped(x, y) evaluates the field at a stage; k1 is its value at (x, y),
+    which the caller has from its stop test. Each stage is projected onto
+    the unit square; the new state is returned unprojected, for the caller
+    to check and clip.
     """
-    k1x, k1y = _field_capped(groups, x, y)
-    k2x, k2y = _field_capped(
-        groups, np.clip(x + 0.5 * dt * k1x, 0.0, 1.0), np.clip(y + 0.5 * dt * k1y, 0.0, 1.0)
-    )
-    k3x, k3y = _field_capped(
-        groups, np.clip(x + 0.5 * dt * k2x, 0.0, 1.0), np.clip(y + 0.5 * dt * k2y, 0.0, 1.0)
-    )
-    k4x, k4y = _field_capped(
-        groups, np.clip(x + dt * k3x, 0.0, 1.0), np.clip(y + dt * k3y, 0.0, 1.0)
-    )
+    k1x, k1y = k1
+    k2x, k2y = capped(_clip(x + 0.5 * dt * k1x, 0.0, 1.0), _clip(y + 0.5 * dt * k1y, 0.0, 1.0))
+    k3x, k3y = capped(_clip(x + 0.5 * dt * k2x, 0.0, 1.0), _clip(y + 0.5 * dt * k2y, 0.0, 1.0))
+    k4x, k4y = capped(_clip(x + dt * k3x, 0.0, 1.0), _clip(y + dt * k3y, 0.0, 1.0))
     return (
         x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
         y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y),
@@ -182,31 +241,34 @@ def integrate(
     the terminal snaps to a supplied equilibrium within SNAP_RADIUS. A step
     that leaves a non-finite state raises IntegrationError.
 
-    The state is kept in Python floats: numpy arithmetic on scalars costs a
-    fraction of the same operation on a one-element array, so one
-    trajectory runs the shared step here rather than in _integrate_batch.
+    The state and the field stay in Python floats (_point_field), which
+    give the numpy field's values bit for bit at a fraction of the cost of
+    numpy calls on one-element values; _integrate_batch runs the same step
+    on arrays.
     """
     if dt > t_end:
         raise ValueError("dt must not exceed t_end")
     groups = _groups(params)
     n_steps = int(round(t_end / dt))
-    xs = [init.r_w]
-    ys = [init.r_m]
-    x, y = init.r_w, init.r_m
+    x, y = float(init.r_w), float(init.r_m)
+    xs = [x]
+    ys = [y]
+    capped = partial(_point_capped, groups)
+    vx, vy = _point_field(groups, x, y)
     quiet = 0
 
     for k in range(n_steps):
-        x, y = map(float, _rk4_step(groups, x, y, dt))
-        if not (np.isfinite(x) and np.isfinite(y)):
+        x, y = _rk4_step(capped, x, y, _point_cap(groups, x, y, vx, vy), dt)
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise IntegrationError(
                 f"non-finite state after step {k + 1}", (xs[-1], ys[-1])
             )
-        x = min(max(x, 0.0), 1.0)
-        y = min(max(y, 0.0), 1.0)
+        x = _clip(x, 0.0, 1.0)
+        y = _clip(y, 0.0, 1.0)
         xs.append(x)
         ys.append(y)
-        vx, vy = _field(groups, x, y)
-        if max(abs(float(vx)), abs(float(vy))) < _STOP_SPEED:
+        vx, vy = _point_field(groups, x, y)
+        if max(abs(vx), abs(vy)) < _STOP_SPEED:
             quiet += 1
             if quiet >= _STOP_RUNS:
                 break
@@ -228,7 +290,8 @@ def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float):
     """Terminal states of many trajectories, advanced in lockstep.
 
     Stops each trajectory as integrate does; one whose step goes non-finite
-    keeps its last finite state and stops there.
+    keeps its last finite state and stops there. The stop test's field at
+    the cells that stay active is their next first stage.
     """
     groups = _groups(params)
     x = np.array(x0, dtype=float).ravel().copy()
@@ -236,14 +299,16 @@ def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float):
     active = np.ones(x.shape, dtype=bool)
     quiet = np.zeros(x.shape, dtype=int)
     n_steps = int(round(t_end / dt))
+    capped = partial(_field_capped, groups)
+    k1 = capped(x, y)
 
     for _ in range(n_steps):
-        if not np.any(active):
+        if not active.any():
             break
         ax, ay = x[active], y[active]
-        nx, ny = _rk4_step(groups, ax, ay, dt)
-        nx = np.clip(nx, 0.0, 1.0)
-        ny = np.clip(ny, 0.0, 1.0)
+        nx, ny = _rk4_step(capped, ax, ay, k1, dt)
+        nx = nx.clip(0.0, 1.0)
+        ny = ny.clip(0.0, 1.0)
         bad = ~(np.isfinite(nx) & np.isfinite(ny))
         nx = np.where(bad, ax, nx)
         ny = np.where(bad, ay, ny)
@@ -254,8 +319,10 @@ def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float):
         q = quiet[active]
         q = np.where(slow, q + 1, 0)
         quiet[active] = q
+        go_on = (q < _STOP_RUNS) & ~bad
+        k1 = _cap(groups, nx[go_on], ny[go_on], vx[go_on], vy[go_on])
         still = active.copy()
-        still[active] = (q < _STOP_RUNS) & ~bad
+        still[active] = go_on
         active = still
     return x, y, quiet >= _STOP_RUNS
 

@@ -224,6 +224,21 @@ def h_eval(pref: PreferenceSpec, u: float) -> float:
     return pref.c / u
 
 
+def _clip(v, lo, hi):
+    """np.clip(v, lo, hi) of an array v, keeping a Python float a Python float.
+
+    On a float it gives np.clip's value bit for bit: NaN and -0.0 pass.
+    """
+    if isinstance(v, float):
+        return lo if v < lo else hi if v > hi else v
+    return v.clip(lo, hi)
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b), keeping a Python bool's pick a Python scalar."""
+    return (a if cond else b) if isinstance(cond, bool) else np.where(cond, a, b)
+
+
 def _gain(k, x, y):
     """Net composition gain k * (y - x) / (x * (1 - x)) on the open square.
 
@@ -458,14 +473,14 @@ class _Group(NamedTuple):
         """Analytic corner verdict: the penalty outgrows the tail at the clamp.
 
         Vectorized over partner fractions y, so the dynamics also use it as
-        the predicate that freezes a coordinate on its face.
+        the predicate that freezes a coordinate on its face; a Python float
+        y gives a Python bool.
         """
-        q_coef, g_coef = self.corner(at_one, np.asarray(y, dtype=float))
-        if self.beta < 1.0:
-            return g_coef > 0.0
-        if self.beta > 1.0:
-            return np.zeros_like(g_coef, dtype=bool)
-        return q_coef <= g_coef
+        q_coef, g_coef = self.corner(at_one, y)
+        if self.beta == 1.0:
+            return q_coef <= g_coef
+        # a tail d ** -beta loses to the penalty's 1 / d for beta < 1 and wins for beta > 1
+        return (g_coef > 0.0) & (self.beta < 1.0)
 
     def stiffness(self, x):
         """Upper scale of the partials, clipped away from the walls; 0 on a face.
@@ -474,10 +489,10 @@ class _Group(NamedTuple):
         like k / (u(1-u)) from the penalty. A coordinate sitting exactly on
         its face is frozen there, so it contributes nothing.
         """
-        xc = np.clip(x, 0.01, 0.99)
+        xc = _clip(x, 0.01, 0.99)
         u = xc * (1.0 - xc)
         s = self.C * u ** -(self.beta + 1.0) + self.k / u
-        return np.where((x == 0.0) | (x == 1.0), 0.0, s)
+        return _where((x == 0.0) | (x == 1.0), 0.0, s)
 
 
 def _groups(params: ModelParams) -> tuple[_Group, _Group]:

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -174,21 +175,93 @@ def test_integrate_matches_scalar_loop_and_batch(config):
 
 def test_non_finite_step_raises_with_last_finite_state(monkeypatch):
     p = make_params(**FAT_TAILS)
-    field = dynamics._field_capped
+    cap = dynamics._point_cap
     calls = []
 
-    def poisoned(groups, x, y):
-        # the fourth stage of the third step returns NaN
+    def poisoned(groups, x, y, vx, vy):
+        # integrate caps the field once per stage: the fourth stage of the
+        # third step returns NaN
         calls.append(None)
-        vx, vy = field(groups, x, y)
-        return (vx * np.nan, vy) if len(calls) == 12 else (vx, vy)
+        kx, ky = cap(groups, x, y, vx, vy)
+        return (kx * np.nan, ky) if len(calls) == 12 else (kx, ky)
 
-    monkeypatch.setattr(dynamics, "_field_capped", poisoned)
+    monkeypatch.setattr(dynamics, "_point_cap", poisoned)
     clean = reference_integrate(p, Composition(0.5, 0.5), t_end=0.02)[1][-1]
-    calls.clear()
     with pytest.raises(dynamics.IntegrationError, match="after step 3") as exc:
         integrate(p, Composition(0.5, 0.5), t_end=1.0)
     assert exc.value.last == tuple(clean)
+
+
+# the float field against the numpy one: faces, vertices, points 1e-7 from a
+# wall, the face offset itself and a few interior values
+_WALLS = (0.0, 1e-7, dynamics._FACE_OFFSET, 0.013, 0.25, 0.5, 0.77,
+          1.0 - dynamics._FACE_OFFSET, 1.0 - 1e-7, 1.0)
+FIELD_LATTICE = [(x, y) for x in _WALLS for y in _WALLS]
+
+
+def field_params():
+    from test_acceptance import ordered_family_draw
+
+    rng = np.random.default_rng(1004)
+    configs = [ModelParams.from_dict(json.loads(path.read_text())["params"]) for path in BUNDLED]
+    draws = [ordered_family_draw(rng) for _ in range(50)]
+    betas = [make_params(c_w=0.5, c_m=0.3, beta=b, re_w=0.4, re_m=0.6) for b in (0.3, 1.0, 2.5, 41.0)]
+    return configs + draws + betas
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+def test_float_field_is_the_numpy_field_bit_for_bit():
+    for p in field_params():
+        groups = _groups(p)
+        raw = [dynamics._point_field(groups, x, y) for x, y in FIELD_LATTICE]
+        capped = [dynamics._point_capped(groups, x, y) for x, y in FIELD_LATTICE]
+        assert all(type(v) is float for pair in raw + capped for v in pair)
+        numpy_raw = [tuple(map(float, dynamics._field(groups, x, y))) for x, y in FIELD_LATTICE]
+        numpy_capped = [tuple(map(float, dynamics._field_capped(groups, x, y))) for x, y in FIELD_LATTICE]
+        assert np.array_equal(bits(raw), bits(numpy_raw)), p
+        assert np.array_equal(bits(capped), bits(numpy_capped)), p
+
+
+def large_beta_params(beta):
+    if beta < 130:
+        return make_params(c_w=0.5, c_m=0.5, beta=beta, re_w=0.5, re_m=0.5)
+    # AdvantageSpec certifies its quantile map only below beta = 130; the
+    # dynamics read nothing of a law but C, r_e and beta
+    law = types.SimpleNamespace(C=1.0, r_e=0.5, beta=float(beta))
+    return dataclasses.replace(make_params(c_w=0.5, c_m=0.5), adv_w=law, adv_m=law)
+
+
+def settle_outcome(params, start):
+    try:
+        traj = integrate(params, Composition(*start), t_end=5.0)
+    except dynamics.IntegrationError as exc:
+        return str(exc), exc.last
+    return traj.states
+
+
+@pytest.mark.parametrize("beta", [55, 60, 80, 200])
+def test_float_settle_matches_numpy_at_large_beta(beta, monkeypatch):
+    # (x(1 - x)) ** beta underflows to 0 at the face offset, and beyond
+    # beta = 153 u ** -(beta + 1) overflows in the stiffness; Python floats
+    # raise there, where numpy gives the inf that ends the settle
+    p = large_beta_params(beta)
+    starts = ((0.0, 0.3), (1e-7, 0.5), (1.0, 1.0), (0.5, 0.5))
+    got = [settle_outcome(p, start) for start in starts]
+    with monkeypatch.context() as m, np.errstate(all="ignore"):
+        m.setattr(dynamics, "_point_field", lambda groups, x, y: tuple(
+            map(float, dynamics._field(groups, x, y))))
+        m.setattr(dynamics, "_point_cap", lambda groups, *state: tuple(
+            map(float, dynamics._cap(groups, *map(np.asarray, state)))))
+        want = [settle_outcome(p, start) for start in starts]
+    for start, g, w in zip(starts, got, want):
+        if isinstance(w, np.ndarray):
+            assert np.array_equal(g, w), start
+        else:
+            assert g == w, start
+    assert want[0] == ("non-finite state after step 1", (0.0, 0.3))
 
 
 # ---------------------------------------------------------------------------
