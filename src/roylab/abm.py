@@ -70,6 +70,7 @@ class ConvergenceReport:
     converged: bool
     population: AgentPopulation
     share_history: list[tuple[float, float]]
+    switches: list[int]   # switches made in each round
 
 
 def sample_population(
@@ -120,11 +121,16 @@ def best_response_round(
     """One sequential sweep in a seeded random order; returns (pop, switches).
 
     Shares update after every individual switch, so later agents in the
-    order react to earlier moves within the same round. Between two switches
-    the shares are frozen, so each group's switch threshold is a constant:
-    the sweep jumps from one switcher to the next with a vectorized search
-    and replays exactly the decisions and mass updates of an agent-by-agent
-    visit.
+    order react to earlier moves within the same round. Each block of the
+    visit order is screened once, with numpy, against the bars at the
+    current masses widened by a slack; only the candidates the screen keeps
+    are decided one by one on Python floats, with the masses and thresholds
+    updated after every switch, and the screen restarts at the next agent
+    once either threshold has drifted more than half the slack. An agent
+    screened out had fl(key - bar) <= -slack, and its bar has since moved by
+    at most slack / 2, so it would not have switched when visited either:
+    the sweep makes exactly the decisions and mass updates of an
+    agent-by-agent visit.
     """
     sigma = params.sigma
     c_w = params.pref_w.c
@@ -146,40 +152,49 @@ def best_response_round(
     # the agents not yet visited keep their starting sector. A sector-2 agent
     # gains when its gap delta - threshold is > 0, a sector-1 agent when it
     # is < 0. With key = -delta and bar = -threshold for sector-1 agents,
-    # key - bar is exactly the negated gap (IEEE negation is exact), so one
-    # test key - bar > 0 gives the agent-by-agent decision for both.
-    in2 = pop.sector == 2
-    key = np.where(in2, pop.delta, -pop.delta)[order]
+    # key - bar is exactly the negated gap (IEEE negation, here a product
+    # with -1, is exact), so one test key - bar > 0 gives the agent-by-agent
+    # decision for both.
+    key = (pop.delta * (2 * pop.sector - 3))[order]
     # 0: M in sector 1, 1: M in sector 2, 2: W in sector 1, 3: W in sector 2
-    cls = (2 * pop.is_w.astype(np.int8) + in2)[order]
-    w_w, w_m, m1w, m1m, m2w, m2m = _masses(pop, params)
+    cls = (2 * pop.is_w.astype(np.int8) + (pop.sector == 2))[order]
+    # Python floats carry the numpy scalars' bits, and inf - inf is a quiet nan
+    w_w, w_m, m1w, m1m, m2w, m2m = map(float, _masses(pop, params))
+    thr_w, thr_m = _thresholds(sigma, c_w, c_m, m1w, m1m, m2w, m2m)
     switchers = []
-    start = 0
+    lo, width = 0, _BLOCK
 
-    while start < order.size:
-        tot1 = m1w + m1m
-        tot2 = m2w + m2m
-        thr_w = _switch_threshold(sigma, c_w, m1w, m2w, tot1, tot2)
-        thr_m = _switch_threshold(sigma, c_m, m1m, m2m, tot1, tot2)
-        k = _next_switcher(key, cls, start, (-thr_m, thr_m, -thr_w, thr_w))
-        if k < 0:
-            break
-        cl = int(cls[k])
-        wgt = w_w if cl >= 2 else w_m
-        if cl == 3:
-            m1w += wgt
-            m2w -= wgt
-        elif cl == 2:
-            m1w -= wgt
-            m2w += wgt
-        elif cl == 1:
-            m1m += wgt
-            m2m -= wgt
-        else:
-            m1m -= wgt
-            m2m += wgt
-        switchers.append(k)
-        start = k + 1
+    while lo < key.size:
+        hi = min(lo + width, key.size)
+        slack = _slack(sigma, c_w, c_m, w_w, w_m, m1w, m1m, m2w, m2m, thr_w, thr_m)
+        drift, thr_w0, thr_m0 = 0.5 * slack, thr_w, thr_m
+        bar_of = np.array((-thr_m, thr_m, -thr_w, thr_w))
+        cand = np.flatnonzero(key[lo:hi] - np.take(bar_of, cls[lo:hi]) > -slack) + lo
+        lo, width = hi, 2 * width
+        for k, kk, cl in zip(cand.tolist(), key[cand].tolist(), cls[cand].tolist()):
+            thr = thr_w if cl >= 2 else thr_m
+            if not kk - (thr if cl & 1 else -thr) > 0.0:
+                continue
+            wgt = w_w if cl >= 2 else w_m
+            if cl == 3:
+                m1w += wgt
+                m2w -= wgt
+            elif cl == 2:
+                m1w -= wgt
+                m2w += wgt
+            elif cl == 1:
+                m1m += wgt
+                m2m -= wgt
+            else:
+                m1m -= wgt
+                m2m += wgt
+            switchers.append(k)
+            thr_w, thr_m = _thresholds(sigma, c_w, c_m, m1w, m1m, m2w, m2m)
+            # an inf or nan drift fails too: a threshold that turns or stays
+            # infinite restarts the screen
+            if not (abs(thr_w - thr_w0) <= drift and abs(thr_m - thr_m0) <= drift):
+                lo, width = k + 1, _BLOCK
+                break
 
     sec = pop.sector.copy()
     moved = order[switchers]
@@ -221,28 +236,37 @@ def _switch_threshold(
     return sigma * (h1 - h2)
 
 
-#: first block of the visit order searched for a switcher; doubles on a miss
-_SEARCH_BLOCK = 64
+def _thresholds(sigma, c_w, c_m, m1w, m1m, m2w, m2m) -> tuple[float, float]:
+    """Both groups' switch thresholds at the given sector masses."""
+    tot1 = m1w + m1m
+    tot2 = m2w + m2m
+    return (
+        _switch_threshold(sigma, c_w, m1w, m2w, tot1, tot2),
+        _switch_threshold(sigma, c_m, m1m, m2m, tot1, tot2),
+    )
 
 
-def _next_switcher(key, cls, start: int, bars: tuple) -> int:
-    """Visit-order index of the first agent at or after start who strictly gains.
+#: first block of the visit order screened at once; doubles while no restart
+_BLOCK = 1024
+#: screen slack in units of the largest threshold move that one switch makes
+_SLACK = 16.0
 
-    Agent j gains when key[j] - bars[cls[j]] > 0. Blocks of the visit order
-    that double in length are searched with numpy, so a sweep costs about
-    one vectorized pass plus one short block per switch. Returns -1 when
-    nobody gains.
+
+def _slack(sigma, c_w, c_m, w_w, w_m, m1w, m1m, m2w, m2m, thr_w, thr_m) -> float:
+    """Margin by which a screen widens the bars at the current masses.
+
+    _SLACK times the largest move of either threshold after one W or one M
+    agent switches either way; 0 when a threshold is, or would become, not
+    finite. Any value >= 0 keeps the round exact: it only sets how many
+    candidates are decided one by one and how often the screen restarts.
     """
-    bar_of = np.array(bars)
-    lo, width = start, _SEARCH_BLOCK
-    while lo < key.size:
-        hi = min(lo + width, key.size)
-        gains = key[lo:hi] - bar_of[cls[lo:hi]] > 0.0
-        first = int(np.argmax(gains))
-        if gains[first]:
-            return lo + first
-        lo, width = hi, 2 * width
-    return -1
+    if not (math.isfinite(thr_w) and math.isfinite(thr_m)):
+        return 0.0
+    step = 0.0
+    for d_w, d_m in ((w_w, 0.0), (-w_w, 0.0), (0.0, w_m), (0.0, -w_m)):
+        t_w, t_m = _thresholds(sigma, c_w, c_m, m1w + d_w, m1m + d_m, m2w - d_w, m2m - d_m)
+        step = max(step, abs(t_w - thr_w), abs(t_m - thr_m))
+    return _SLACK * step if step < math.inf else 0.0
 
 
 def run_to_convergence(
@@ -256,6 +280,7 @@ def run_to_convergence(
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     history = [_shares_tuple(pop)]
+    switches = []
     converged = False
     rounds = 0
     for r in range(max_rounds):
@@ -263,10 +288,11 @@ def run_to_convergence(
         pop, switched = best_response_round(pop, params, order_seed)
         rounds = r + 1
         history.append(_shares_tuple(pop))
+        switches.append(switched)
         if switched == 0:
             converged = True
             break
-    return ConvergenceReport(pop.shares(), rounds, converged, pop, history)
+    return ConvergenceReport(pop.shares(), rounds, converged, pop, history, switches)
 
 
 def _shares_tuple(pop: AgentPopulation) -> tuple[float, float]:

@@ -299,6 +299,7 @@ def test_event_driven_round_matches_reference(case, monkeypatch):
     fast, fast_switches = run_recorded(monkeypatch, FAST_ROUND, pop, p, max_rounds)
     ref, ref_switches = run_recorded(monkeypatch, reference_round, pop, p, max_rounds)
     assert fast_switches == ref_switches
+    assert fast.switches == ref.switches == ref_switches
     assert fast.rounds == ref.rounds and fast.converged == ref.converged
     assert fast.share_history == ref.share_history
     assert fast.population.sector.dtype == ref.population.sector.dtype
@@ -314,3 +315,91 @@ def test_event_driven_round_matches_reference_on_an_unsettled_state():
         ref, n_ref = reference_round(pop, p, order_seed)
         assert n_fast == n_ref > 0
         assert np.array_equal(fast.sector, ref.sector)
+
+
+def assert_rounds_match(pop, params, order_seeds):
+    """One round per order seed, fast and reference; returns the fast results."""
+    out = []
+    for order_seed in order_seeds:
+        fast, n_fast = best_response_round(pop, params, order_seed)
+        ref, n_ref = reference_round(pop, params, order_seed)
+        assert n_fast == n_ref
+        assert np.array_equal(fast.sector, ref.sector)
+        out.append(fast)
+    return out
+
+
+def test_event_driven_round_matches_reference_on_a_dense_nudged_round(monkeypatch):
+    # the quota-nudged start at 100k per group: a third of the agents switch
+    # in the first round, so the screen restarts thousands of times
+    p = make_params(**BENCH)
+    pop = sample_population(p, 100_000, 100_000, seed=41, init_comp=Composition(0.1, 0.9))
+    screens = []
+    slack = abm._slack
+    monkeypatch.setattr(abm, "_slack", lambda *state: screens.append(1) or slack(*state))
+    assert_rounds_match(pop, p, [0])
+    assert len(screens) > 1000
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_event_driven_round_matches_reference_when_a_group_leaves_a_sector(k):
+    # k W agents in sector 1 beside half the M, and W draws mostly favour
+    # sector 2: when the last of them leaves, W's threshold turns infinite in
+    # mid-round; with k = 2 (order seed 1) under a screen of positive slack
+    p = make_params(**dict(BENCH, re_w=0.05))
+    pop = sample_population(p, 1000, 1000, seed=41, init_comp=Composition(k / 1000, 0.5))
+    rounds = assert_rounds_match(pop, p, range(4))
+    assert any(fast.shares().r_w == 0.0 for fast in rounds)
+
+
+def test_event_driven_round_matches_reference_from_infinite_thresholds():
+    # no W in sector 1 beside half the M: W's threshold is infinite when the
+    # round starts, so every screen has slack 0 until sector 1 empties
+    p = make_params(**BENCH)
+    pop = sample_population(p, 1000, 1000, seed=41, init_comp=Composition(0.0, 0.5))
+    w_w, w_m, m1w, m1m, m2w, m2m = abm._masses(pop, p)
+    assert abm._switch_threshold(p.sigma, p.pref_w.c, m1w, m2w, m1w + m1m, m2w + m2m) == math.inf
+    assert_rounds_match(pop, p, range(4))
+
+
+def edge_of_screen_state(order_seed):
+    """8 W and 8 M, c = 0.1, where one M switch balances both sectors exactly.
+
+    W: 4 in each sector. M: 3 in sector 1 and 5 in sector 2. The first M
+    visited (A) gains, and moving it leaves both thresholds at exactly 0.
+    The second M visited (B) sits in sector 2 with a draw of 1e-300: below
+    M's threshold t0 when the round starts, above it after A has moved. Any
+    other agent keeps its sector through the round.
+    """
+    order = np.random.default_rng(order_seed).permutation(16)
+    m_visits = [int(i) for i in order if i >= 8]
+    delta = np.array([1.0] * 4 + [-1.0] * 4 + [1.0] * 8)
+    sector = np.array([1] * 4 + [2] * 4 + [1] * 8, dtype=np.int8)
+    sector[m_visits[:5]] = 2
+    delta[m_visits[2:5]] = -1.0
+    delta[m_visits[1]] = 1e-300
+    return AgentPopulation(np.arange(16) < 8, delta, sector, 8, 8, seed=0)
+
+
+@pytest.mark.parametrize("order_seed", [0, 1, 2])
+def test_round_is_exact_when_a_bar_drifts_a_full_slack(order_seed, monkeypatch):
+    # The screen keeps B out only by rounding: fl(1e-300 - t0) = -t0 equals
+    # -slack when the slack is t0. A then moves M's bar by the full slack,
+    # to 0, where B gains; only a restart at half the slack decides B
+    p = make_params(c_w=0.1, c_m=0.1)
+    pop = edge_of_screen_state(order_seed)
+    w_w, w_m, m1w, m1m, m2w, m2m = abm._masses(pop, p)
+    t0 = abm._switch_threshold(p.sigma, p.pref_m.c, m1m, m2m, m1w + m1m, m2w + m2m)
+    assert 1e-300 - t0 == -t0 > -1.0
+    monkeypatch.setattr(abm, "_slack", lambda *state: t0)
+    assert_rounds_match(pop, p, [order_seed])
+    assert best_response_round(pop, p, order_seed)[1] == 2
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-12, 1e300])
+def test_round_is_exact_for_any_screen_slack(slack, monkeypatch):
+    # the slack only sets how many candidates are decided one by one
+    p = make_params(**BENCH)
+    pop = sample_population(p, 5000, 5000, seed=5, init_comp=Composition(0.5, 0.5))
+    monkeypatch.setattr(abm, "_slack", lambda *state: slack)
+    assert_rounds_match(pop, p, (0, 1))
