@@ -22,6 +22,19 @@ and the phase portrait evaluate it on numpy arrays. The two fields run the
 same _Group formulas and agree bit for bit. Both RK4 loops evaluate the raw
 field at each new state for the stop test and reuse it, capped, as the
 next step's first stage.
+
+A basin cell stops as soon as it enters a certified trap of a stable
+equilibrium, and its terminal is that equilibrium. Each component falls in
+the partner's fraction (d_partner = -k / (x(1 - x)) <= 0), so the flow is
+competitive, and cooperative in (x, -y): an interior box is forward
+invariant when the raw field points strictly into it at its two order
+corners (x1, y2) and (x2, y1). An edge point's trap is a segment of its
+face on which the clamp holds at both ends and the free group's component
+points strictly inward. The flow never leaves a trap, which lies within
+SNAP_RADIUS / 2 of its equilibrium while no other equilibrium lies within
+4 SNAP_RADIUS; so the full settle, stopped at any later t_end, would give
+the cell the same label, the other SNAP_RADIUS / 2 being margin for the
+RK4 step.
 """
 
 from __future__ import annotations
@@ -32,7 +45,17 @@ from functools import partial
 
 import numpy as np
 
-from .equilibrium import _CENSUS_GRID, EquilibriumPoint, _axis, enumerate_equilibria
+from .equilibrium import (
+    _CENSUS_GRID,
+    _EDGES,
+    BOUNDARY_STABLE,
+    INTERIOR,
+    STABLE,
+    EquilibriumPoint,
+    _axis,
+    _flow_jacobian,
+    enumerate_equilibria,
+)
 from .model import Composition, ModelParams, _clip, _Group, _groups
 
 __all__ = [
@@ -60,6 +83,12 @@ _FACE_OFFSET = 1e-6
 
 _STOP_SPEED = 1e-10
 _STOP_RUNS = 10
+
+#: largest half-width of a trap around a stable equilibrium
+_TRAP_RADIUS = SNAP_RADIUS / 2
+
+#: an equilibrium gets no trap while another one lies this near
+_TRAP_GUARD = 4 * SNAP_RADIUS
 
 
 class IntegrationError(RuntimeError):
@@ -286,18 +315,26 @@ def integrate(
     )
 
 
-def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float):
+def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float, traps=None):
     """Terminal states of many trajectories, advanced in lockstep.
 
     Stops each trajectory as integrate does; one whose step goes non-finite
     keeps its last finite state and stops there. The stop test's field at
     the cells that stay active is their next first stage.
+
+    traps holds rows (x1, x2, y1, y2, r_w, r_m) from _traps. A cell whose
+    new state lies in the closed box of a row stops there as done, with the
+    row's equilibrium (r_w, r_m) as its terminal.
     """
     groups = _groups(params)
     x = np.array(x0, dtype=float).ravel().copy()
     y = np.array(y0, dtype=float).ravel().copy()
     active = np.ones(x.shape, dtype=bool)
     quiet = np.zeros(x.shape, dtype=int)
+    captured = np.zeros(x.shape, dtype=bool)
+    trapping = traps is not None and len(traps) > 0
+    if trapping:
+        x1, x2, y1, y2 = traps[:, :4].T[:, :, None]
     n_steps = int(round(t_end / dt))
     capped = partial(_field_capped, groups)
     k1 = capped(x, y)
@@ -320,11 +357,111 @@ def _integrate_batch(params: ModelParams, x0, y0, t_end: float, dt: float):
         q = np.where(slow, q + 1, 0)
         quiet[active] = q
         go_on = (q < _STOP_RUNS) & ~bad
+        if trapping:
+            inside = (nx >= x1) & (nx <= x2) & (ny >= y1) & (ny <= y2)
+            caught = go_on & inside.any(axis=0)
+            if caught.any():
+                which = inside.argmax(axis=0)[caught]
+                cells = np.flatnonzero(active)[caught]
+                x[cells] = traps[which, 4]
+                y[cells] = traps[which, 5]
+                captured[cells] = True
+                go_on &= ~caught
         k1 = _cap(groups, nx[go_on], ny[go_on], vx[go_on], vy[go_on])
         still = active.copy()
         still[active] = go_on
         active = still
-    return x, y, quiet >= _STOP_RUNS
+    return x, y, (quiet >= _STOP_RUNS) | captured
+
+
+def _box_traps(groups: tuple[_Group, _Group], x1: float, x2: float, y1: float, y2: float) -> bool:
+    """Corner test: the raw field points strictly into the box at (x1, y2) and (x2, y1).
+
+    These are the order corners of the cooperative flow in (x, -y); by the
+    Kamke comparison every orbit from the box stays between theirs, and
+    theirs move into the box, so the box is forward invariant.
+    """
+    vx, vy = _field(groups, np.array([x1, x2]), np.array([y2, y1]))
+    return bool(vx[0] > 0.0 and vy[0] < 0.0 and vx[1] < 0.0 and vy[1] > 0.0)
+
+
+def _aspect(j11: float, j12: float, j21: float, j22: float) -> float:
+    """A ratio ry / rx in (|j21| / |j22|, |j11| / |j12|), their geometric mean when finite.
+
+    At a stable node the linear field J d points into the box of that
+    aspect at both order corners; the interval is empty at a saddle.
+    """
+    lo = abs(j21) / abs(j22) if j22 else math.inf
+    hi = abs(j11) / abs(j12) if j12 else math.inf
+    if 0.0 < lo and hi < math.inf:
+        return math.sqrt(lo) * math.sqrt(hi)
+    return min(max(1.0, 2.0 * lo), 0.5 * hi)
+
+
+def _interior_trap(params: ModelParams, groups, ex: float, ey: float):
+    """(x1, x2, y1, y2) of a box around (ex, ey) that passes the corner test, or None.
+
+    The exact Jacobian picks the aspect; the corner test certifies the box.
+    The box keeps to [_FACE_OFFSET, 1 - _FACE_OFFSET], where the raw field
+    is the residual itself.
+    """
+    # on numpy scalars a partial that overflows is inf, not an OverflowError
+    ratio = _aspect(*map(float, _flow_jacobian(params, np.float64(ex), np.float64(ey))))
+    rx, ry = (_TRAP_RADIUS, ratio * _TRAP_RADIUS) if ratio <= 1.0 else (_TRAP_RADIUS / ratio, _TRAP_RADIUS)
+    box = (ex - rx, ex + rx, ey - ry, ey + ry)
+    if min(box) < _FACE_OFFSET or max(box) > 1.0 - _FACE_OFFSET:
+        return None
+    return box if _box_traps(groups, *box) else None
+
+
+def _edge_trap(groups, kind: str, ex: float, ey: float):
+    """(x1, x2, y1, y2) of a segment of the face around an edge point, or None.
+
+    The clamp must hold at both ends (holds is monotone in the partner at
+    beta = 1 and constant otherwise) and the free group's component must be
+    positive at the lower end and negative at the upper one.
+    """
+    free, face = _EDGES[kind]
+    v = (ex, ey)[free]
+    lo, hi = v - _TRAP_RADIUS, v + _TRAP_RADIUS
+    if lo < _FACE_OFFSET or hi > 1.0 - _FACE_OFFSET:
+        return None
+    ends = np.array([lo, hi])
+    if not np.all(groups[1 - free].holds(face == 1.0, ends)):
+        return None
+    rate = groups[free].component(ends, face)
+    if not (rate[0] > 0.0 and rate[1] < 0.0):
+        return None
+    return (face, face, lo, hi) if free == 1 else (lo, hi, face, face)
+
+
+def _traps(params: ModelParams, equilibria: list[EquilibriumPoint]) -> np.ndarray:
+    """Certified traps of the stable interior and edge equilibria.
+
+    One row (x1, x2, y1, y2, r_w, r_m) per trap. Vertices get none, and
+    neither does an equilibrium within _TRAP_GUARD of another one or one
+    whose certificate fails. The certificates run without numpy warnings;
+    a NaN fails every strict sign test.
+    """
+    groups = _groups(params)
+    rows = []
+    with np.errstate(all="ignore"):
+        for i, eq in enumerate(equilibria):
+            ex, ey = eq.comp.r_w, eq.comp.r_m
+            if any(
+                j != i and max(abs(ex - other.comp.r_w), abs(ey - other.comp.r_m)) < _TRAP_GUARD
+                for j, other in enumerate(equilibria)
+            ):
+                continue
+            if eq.kind == INTERIOR and eq.stability == STABLE:
+                box = _interior_trap(params, groups, ex, ey)
+            elif eq.kind in _EDGES and eq.stability == BOUNDARY_STABLE:
+                box = _edge_trap(groups, eq.kind, ex, ey)
+            else:
+                box = None
+            if box is not None:
+                rows.append((*box, ex, ey))
+    return np.array(rows, dtype=float).reshape(-1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +530,17 @@ def basins(
     default census. A cell whose terminal state lies farther than
     SNAP_RADIUS from every equilibrium, for instance after a non-finite
     step, is labelled -1.
+
+    A cell stops early once it enters a certified trap of a stable interior
+    or edge equilibrium (_traps), and takes that equilibrium as its
+    terminal. An interior trap is a box at whose order corners (x1, y2) and
+    (x2, y1) the raw field points strictly inward, which makes it forward
+    invariant for this competitive flow; an edge trap is a segment of the
+    face on which the clamp holds and the free component points inward at
+    both ends. The flow never leaves a trap, which lies within
+    SNAP_RADIUS / 2 of the equilibrium and more than 3.5 SNAP_RADIUS from
+    any other; so the labels are those of the full settle at any t_end,
+    and a cell that the full settle leaves at -1 is never captured.
     """
     if n < 16:
         raise ValueError(f"basin resolution must be at least 16, got {n}")
@@ -400,7 +548,7 @@ def basins(
         equilibria = enumerate_equilibria(params)
     centers = (np.arange(n) + 0.5) / n
     gx, gy = np.meshgrid(centers, centers, indexing="ij")
-    tx, ty, _ = _integrate_batch(params, gx.ravel(), gy.ravel(), t_end, dt)
+    tx, ty, _ = _integrate_batch(params, gx.ravel(), gy.ravel(), t_end, dt, _traps(params, equilibria))
     labels = np.full(tx.shape, -1, dtype=int)
     for k in range(tx.size):
         eq, d = _nearest(equilibria, Composition(float(tx[k]), float(ty[k])))

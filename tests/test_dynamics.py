@@ -9,7 +9,7 @@ import pytest
 
 from roylab import dynamics
 from roylab.model import Composition, ModelParams, make_params
-from roylab.equilibrium import _groups, enumerate_equilibria
+from roylab.equilibrium import _flow_jacobian, _groups, enumerate_equilibria
 from roylab.dynamics import (
     basins,
     flow,
@@ -379,3 +379,149 @@ def test_two_basins_in_bistable_regime():
     assert len(used) == 2
     for k in used:
         assert eqs[k].stability == "stable"
+
+
+# ---------------------------------------------------------------------------
+# capture: basins against the full settle
+# ---------------------------------------------------------------------------
+
+
+def config_params(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    return ModelParams.from_dict(json.loads(path.read_text())["params"])
+
+
+def full_settle_basins(params, n, **kw):
+    """basins with no trap: every cell runs until it is quiet or t_end."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_traps", lambda params, equilibria: None)
+        return basins(params, n, **kw)
+
+
+def assert_capture_matches_full_settle(params, n, **kw):
+    eqs = enumerate_equilibria(params)
+    want = full_settle_basins(params, n, equilibria=eqs, **kw).labels
+    got = basins(params, n, equilibria=eqs, **kw).labels
+    assert np.array_equal(got, want), np.argwhere(got != want)
+    return want
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("config", BUNDLED, ids=lambda path: path.stem)
+def test_capture_labels_match_the_full_settle(config, n):
+    assert_capture_matches_full_settle(config_params(config.stem), n)
+
+
+@pytest.mark.parametrize("t_end", [0.5, 5.0, 12.0])
+@pytest.mark.parametrize("name", ["fig4-rescaled", "fig5-left"])
+def test_capture_keeps_the_labels_of_a_short_settle(name, t_end):
+    # a cell that the full settle leaves at -1 when t_end cuts it off is
+    # never captured, and a captured one keeps its label at any t_end
+    want = assert_capture_matches_full_settle(config_params(name), 32, t_end=t_end)
+    if t_end < 12.0:
+        assert (want == -1).sum() > 900
+
+
+CAPTURE_BETAS = (0.05, 0.5, 1.0, 1.5, 2.0)
+
+
+def capture_draws(count, seed=20):
+    """Random parameters cycling through beta below, at and above 1."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        beta = CAPTURE_BETAS[len(draws) % len(CAPTURE_BETAS)]
+        try:
+            draws.append(make_params(
+                mu_w=rng.uniform(0.6, 1.0), c_w=10 ** rng.uniform(-2.5, 0.0),
+                c_m=10 ** rng.uniform(-2.5, 0.0), beta=beta,
+                re_w=rng.uniform(0.2, 0.8), re_m=rng.uniform(0.2, 0.8),
+            ))
+        except ValueError:
+            # a law whose quantile map is not monotone is outside the family
+            pass
+    return draws
+
+
+CAPTURE_DRAWS = capture_draws(20)
+
+
+@pytest.mark.parametrize("draw", range(len(CAPTURE_DRAWS)))
+def test_capture_labels_match_the_full_settle_on_random_draws(draw):
+    assert_capture_matches_full_settle(CAPTURE_DRAWS[draw], 16)
+
+
+def test_traps_are_certified_where_basins_spend_their_time():
+    # without a trap the differential tests above would compare the full
+    # settle with itself
+    for name in ("fig4-rescaled", "fig5-left"):
+        p = config_params(name)
+        assert len(dynamics._traps(p, enumerate_equilibria(p))) >= 1, name
+    per_draw = [len(dynamics._traps(p, enumerate_equilibria(p))) for p in CAPTURE_DRAWS]
+    for k, beta in enumerate(CAPTURE_BETAS):
+        assert sum(per_draw[k::len(CAPTURE_BETAS)]) >= 1, beta
+
+
+def trap_cases():
+    cases = [config_params(path.stem) for path in BUNDLED]
+    return cases + [make_params(**SEVENTEEN), make_params(mu_w=0.8, **FAT_TAILS)] + CAPTURE_DRAWS
+
+
+def test_every_trap_lies_within_snap_radius_of_its_equilibrium():
+    count = 0
+    for p in trap_cases():
+        for x1, x2, y1, y2, ex, ey in dynamics._traps(p, enumerate_equilibria(p)):
+            assert x1 <= ex <= x2 and y1 <= ey <= y2
+            assert max(ex - x1, x2 - ex, ey - y1, y2 - ey) < dynamics.SNAP_RADIUS
+            assert 0.0 <= min(x1, y1) and max(x2, y2) <= 1.0
+            count += 1
+    assert count >= 40
+
+
+def rest_point_boxes(params, eq):
+    """Boxes around an interior rest point: the Jacobian's aspect and eight decades around 1."""
+    j = _flow_jacobian(params, eq.comp.r_w, eq.comp.r_m)
+    r = dynamics._TRAP_RADIUS
+    for ratio in [dynamics._aspect(*j), *np.logspace(-4, 4, 17)]:
+        rx, ry = (r, ratio * r) if ratio <= 1.0 else (r / ratio, r)
+        yield eq.comp.r_w - rx, eq.comp.r_w + rx, eq.comp.r_m - ry, eq.comp.r_m + ry
+
+
+def test_corner_test_rejects_saddles_and_unstable_nodes(seventeen):
+    p, eqs = seventeen
+    groups = _groups(p)
+    unstable = [e for e in eqs if e.stability in ("saddle", "unstable")]
+    assert {e.kind for e in unstable} >= {"interior", "edge-w0", "edge-m0", "edge-m1", "edge-w1"}
+    assert {e.stability for e in unstable if e.kind == "interior"} == {"saddle", "unstable"}
+    for eq in unstable:
+        if eq.kind == "interior":
+            for box in rest_point_boxes(p, eq):
+                assert not dynamics._box_traps(groups, *box), (eq.comp, box)
+        # the certificate, not the label, decides: relabelled stable, no
+        # such point gets a trap
+        label = "stable" if eq.kind == "interior" else "boundary-stable"
+        assert len(dynamics._traps(p, [dataclasses.replace(eq, stability=label)])) == 0, eq.comp
+
+
+def test_a_box_whose_corners_rest_is_not_certified():
+    # both corners of a box of no width sit on a stable vertex, where the
+    # field is exactly zero: a trap needs strict inflow at its corners
+    p = config_params("fig4")
+    groups = _groups(p)
+    vertex = Composition(0.0, 1.0)
+    assert [e.stability for e in enumerate_equilibria(p) if e.comp == vertex] == ["boundary-stable"]
+    assert tuple(flow(p, vertex)) == (0.0, 0.0)
+    assert not dynamics._box_traps(groups, 0.0, 0.0, 1.0, 1.0)
+
+
+def test_equilibria_closer_than_the_guard_get_no_trap(fat_unique):
+    p, (only,) = fat_unique
+    assert len(dynamics._traps(p, [only])) == 1
+    for gap, traps in ((3.0, 0), (5.0, 1)):
+        near = dataclasses.replace(
+            only,
+            comp=Composition(only.comp.r_w + gap * dynamics.SNAP_RADIUS, only.comp.r_m),
+            stability="saddle",
+        )
+        assert len(dynamics._traps(p, [only, near])) == traps, gap
+    assert len(dynamics._traps(p, [only, dataclasses.replace(only)])) == 0
