@@ -30,11 +30,13 @@ competitive, and cooperative in (x, -y): an interior box is forward
 invariant when the raw field points strictly into it at its two order
 corners (x1, y2) and (x2, y1). An edge point's trap is a segment of its
 face on which the clamp holds at both ends and the free group's component
-points strictly inward. The flow never leaves a trap, which lies within
-SNAP_RADIUS / 2 of its equilibrium while no other equilibrium lies within
-4 SNAP_RADIUS; so the full settle, stopped at any later t_end, would give
-the cell the same label, the other SNAP_RADIUS / 2 being margin for the
-RK4 step.
+points strictly inward. In a planar cooperative flow every bounded orbit
+converges to an equilibrium (Hirsch, SIAM J. Math. Anal. 1982; Smith,
+Monotone Dynamical Systems, 1995, ch. 3), so a forward invariant box that
+holds one equilibrium captures every orbit that enters it, whatever its
+size. Each trap therefore doubles from a box of half-width SNAP_RADIUS / 2
+while it keeps its certificate and holds no other supplied equilibrium,
+and the census of the final box must return its equilibrium alone.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ import numpy as np
 from .equilibrium import (
     _CENSUS_GRID,
     _EDGES,
+    _MERGE_RADIUS,
     BOUNDARY_STABLE,
     INTERIOR,
     STABLE,
     EquilibriumPoint,
     _axis,
+    _census,
     _flow_jacobian,
     enumerate_equilibria,
 )
@@ -84,11 +88,8 @@ _FACE_OFFSET = 1e-6
 _STOP_SPEED = 1e-10
 _STOP_RUNS = 10
 
-#: largest half-width of a trap around a stable equilibrium
-_TRAP_RADIUS = SNAP_RADIUS / 2
-
-#: an equilibrium gets no trap while another one lies this near
-_TRAP_GUARD = 4 * SNAP_RADIUS
+#: half-width of the first box tried around a stable equilibrium; a trap doubles from it
+_TRAP_START = SNAP_RADIUS / 2
 
 
 class IntegrationError(RuntimeError):
@@ -120,7 +121,7 @@ class PhasePortrait:
 @dataclass
 class BasinMap:
     resolution: int
-    labels: np.ndarray               # (n, n) indices into equilibria; -1 unresolved
+    labels: np.ndarray               # (n, n) indices into equilibria; -1 neither captured nor snapped
     equilibria: list[EquilibriumPoint]
 
     def cell_centers(self) -> np.ndarray:
@@ -163,14 +164,36 @@ def _cap(groups: tuple[_Group, _Group], x, y, vx, vy):
     """The raw flow (vx, vy) at (x, y) times 1 / (1 + (speed + stiffness) / V_CAP).
 
     Python floats give Python floats. The speed is np.hypot's on both:
-    math.hypot rounds differently in the last bit.
+    math.hypot rounds differently in the last bit. Where the raw speed is
+    infinite (the advantage factor underflows at a face for beta above
+    about 54) and the stiffness finite, the product is its limit
+    V_CAP * v / |v| (_speed_limit) instead of inf * 0.
     """
     speed = np.hypot(vx, vy)
     if isinstance(vx, float):
         speed = float(speed)
+        infinite = speed == math.inf
+    else:
+        infinite = np.fmax.reduce(speed, axis=None, initial=0.0) == math.inf
     stiffness = groups[0].stiffness(x) + groups[1].stiffness(y)
     scale = 1.0 / (1.0 + (speed + stiffness) / V_CAP)
+    if infinite:
+        return _speed_limit(vx, vy, speed, stiffness, scale)
     return vx * scale, vy * scale
+
+
+def _speed_limit(vx, vy, speed, stiffness, scale):
+    """_cap where some raw speed is infinite: V_CAP times the direction of
+    v's infinite components where the stiffness is finite and neither
+    component is NaN, v * scale elsewhere."""
+    with np.errstate(invalid="ignore"):
+        ux = np.where(np.isinf(vx), np.sign(vx), 0.0)
+        uy = np.where(np.isinf(vy), np.sign(vy), 0.0)
+        norm = np.hypot(ux, uy)
+        limit = np.isinf(speed) & np.isfinite(stiffness) & ~(np.isnan(vx) | np.isnan(vy))
+        kx = np.where(limit, V_CAP * ux / norm, vx * scale)
+        ky = np.where(limit, V_CAP * uy / norm, vy * scale)
+    return (float(kx), float(ky)) if isinstance(vx, float) else (kx, ky)
 
 
 def _field_capped(groups: tuple[_Group, _Group], x, y):
@@ -398,69 +421,90 @@ def _aspect(j11: float, j12: float, j21: float, j22: float) -> float:
     return min(max(1.0, 2.0 * lo), 0.5 * hi)
 
 
-def _interior_trap(params: ModelParams, groups, ex: float, ey: float):
-    """(x1, x2, y1, y2) of a box around (ex, ey) that passes the corner test, or None.
+def _first_half_widths(params: ModelParams, kind: str, ex: float, ey: float) -> tuple[float, float]:
+    """Half-widths (rx, ry) of the first box tried around a stable equilibrium.
 
-    The exact Jacobian picks the aspect; the corner test certifies the box.
-    The box keeps to [_FACE_OFFSET, 1 - _FACE_OFFSET], where the raw field
-    is the residual itself.
+    An interior box has the aspect that the exact Jacobian picks, its longer
+    side _TRAP_START; an edge segment has _TRAP_START along its face and no
+    width across it.
     """
+    if kind in _EDGES:
+        return (0.0, _TRAP_START) if _EDGES[kind][0] == 1 else (_TRAP_START, 0.0)
     # on numpy scalars a partial that overflows is inf, not an OverflowError
     ratio = _aspect(*map(float, _flow_jacobian(params, np.float64(ex), np.float64(ey))))
-    rx, ry = (_TRAP_RADIUS, ratio * _TRAP_RADIUS) if ratio <= 1.0 else (_TRAP_RADIUS / ratio, _TRAP_RADIUS)
-    box = (ex - rx, ex + rx, ey - ry, ey + ry)
-    if min(box) < _FACE_OFFSET or max(box) > 1.0 - _FACE_OFFSET:
-        return None
-    return box if _box_traps(groups, *box) else None
+    return (_TRAP_START, ratio * _TRAP_START) if ratio <= 1.0 else (_TRAP_START / ratio, _TRAP_START)
 
 
-def _edge_trap(groups, kind: str, ex: float, ey: float):
-    """(x1, x2, y1, y2) of a segment of the face around an edge point, or None.
+def _certified(groups, kind: str, box) -> bool:
+    """The trap certificate of box (x1, x2, y1, y2) around an equilibrium of this kind.
 
-    The clamp must hold at both ends (holds is monotone in the partner at
-    beta = 1 and constant otherwise) and the free group's component must be
-    positive at the lower end and negative at the upper one.
+    An interior box keeps to [_FACE_OFFSET, 1 - _FACE_OFFSET], where the
+    raw field is the residual itself, and must pass the corner test
+    (_box_traps). An edge trap is a segment of its face whose free range
+    keeps to the same bounds: the clamp must hold at both ends (holds is
+    monotone in the partner at beta = 1 and constant otherwise) and the
+    free group's component must be positive at the lower end and negative
+    at the upper one.
     """
+    if kind == INTERIOR:
+        return _FACE_OFFSET <= min(box) and max(box) <= 1.0 - _FACE_OFFSET and _box_traps(groups, *box)
     free, face = _EDGES[kind]
-    v = (ex, ey)[free]
-    lo, hi = v - _TRAP_RADIUS, v + _TRAP_RADIUS
-    if lo < _FACE_OFFSET or hi > 1.0 - _FACE_OFFSET:
-        return None
-    ends = np.array([lo, hi])
+    ends = np.array(box[2 * free:2 * free + 2])
+    if not (_FACE_OFFSET <= ends[0] and ends[1] <= 1.0 - _FACE_OFFSET):
+        return False
     if not np.all(groups[1 - free].holds(face == 1.0, ends)):
-        return None
+        return False
     rate = groups[free].component(ends, face)
-    if not (rate[0] > 0.0 and rate[1] < 0.0):
+    return bool(rate[0] > 0.0 and rate[1] < 0.0)
+
+
+def _trap(params: ModelParams, groups, equilibria: list[EquilibriumPoint], i: int):
+    """(x1, x2, y1, y2) of the largest certified trap around equilibria[i], or None.
+
+    The box starts at _first_half_widths and doubles while it passes the
+    certificate and holds no other supplied equilibrium. The census of the
+    final box must then return equilibria[i] alone, so that a partial list
+    cannot let a trap hold a second equilibrium.
+    """
+    eq = equilibria[i]
+    ex, ey = eq.comp.r_w, eq.comp.r_m
+    rx, ry = _first_half_widths(params, eq.kind, ex, ey)
+    trap = None
+    while True:
+        box = (ex - rx, ex + rx, ey - ry, ey + ry)
+        if not _certified(groups, eq.kind, box) or any(
+            j != i and box[0] <= other.comp.r_w <= box[1] and box[2] <= other.comp.r_m <= box[3]
+            for j, other in enumerate(equilibria)
+        ):
+            break
+        trap = box
+        rx, ry = 2.0 * rx, 2.0 * ry
+    if trap is None:
         return None
-    return (face, face, lo, hi) if free == 1 else (lo, hi, face, face)
+    points = _census(params, box=(trap[:2], trap[2:]))
+    alone = len(points) == 1 and max(abs(points[0][0] - ex), abs(points[0][1] - ey)) < _MERGE_RADIUS
+    return trap if alone else None
 
 
 def _traps(params: ModelParams, equilibria: list[EquilibriumPoint]) -> np.ndarray:
     """Certified traps of the stable interior and edge equilibria.
 
-    One row (x1, x2, y1, y2, r_w, r_m) per trap. Vertices get none, and
-    neither does an equilibrium within _TRAP_GUARD of another one or one
-    whose certificate fails. The certificates run without numpy warnings;
-    a NaN fails every strict sign test.
+    One row (x1, x2, y1, y2, r_w, r_m) per trap (_trap). Vertices get none,
+    and neither does an equilibrium whose first box fails the certificate
+    or holds another equilibrium, or whose final box's census does not
+    return it alone. The certificates run without numpy warnings; a NaN
+    fails every strict sign test.
     """
     groups = _groups(params)
     rows = []
     with np.errstate(all="ignore"):
         for i, eq in enumerate(equilibria):
-            ex, ey = eq.comp.r_w, eq.comp.r_m
-            if any(
-                j != i and max(abs(ex - other.comp.r_w), abs(ey - other.comp.r_m)) < _TRAP_GUARD
-                for j, other in enumerate(equilibria)
+            if (eq.kind, eq.stability) == (INTERIOR, STABLE) or (
+                eq.kind in _EDGES and eq.stability == BOUNDARY_STABLE
             ):
-                continue
-            if eq.kind == INTERIOR and eq.stability == STABLE:
-                box = _interior_trap(params, groups, ex, ey)
-            elif eq.kind in _EDGES and eq.stability == BOUNDARY_STABLE:
-                box = _edge_trap(groups, eq.kind, ex, ey)
-            else:
-                box = None
-            if box is not None:
-                rows.append((*box, ex, ey))
+                box = _trap(params, groups, equilibria, i)
+                if box is not None:
+                    rows.append((*box, eq.comp.r_w, eq.comp.r_m))
     return np.array(rows, dtype=float).reshape(-1, 6)
 
 
@@ -527,9 +571,7 @@ def basins(
     """Attraction basins on an n x n lattice of cell centers.
 
     All cells integrate in one lockstep batch; the equilibria default to the
-    default census. A cell whose terminal state lies farther than
-    SNAP_RADIUS from every equilibrium, for instance after a non-finite
-    step, is labelled -1.
+    default census.
 
     A cell stops early once it enters a certified trap of a stable interior
     or edge equilibrium (_traps), and takes that equilibrium as its
@@ -537,10 +579,12 @@ def basins(
     (x2, y1) the raw field points strictly inward, which makes it forward
     invariant for this competitive flow; an edge trap is a segment of the
     face on which the clamp holds and the free component points inward at
-    both ends. The flow never leaves a trap, which lies within
-    SNAP_RADIUS / 2 of the equilibrium and more than 3.5 SNAP_RADIUS from
-    any other; so the labels are those of the full settle at any t_end,
-    and a cell that the full settle leaves at -1 is never captured.
+    both ends. The census of each trap returns its equilibrium alone, so
+    the flow from any point of it converges to that equilibrium, and the
+    label is proved, not read off a settle. A cell that is not captured and
+    whose terminal state lies farther than SNAP_RADIUS from every
+    equilibrium at t_end, for instance after a non-finite step, is labelled
+    -1.
     """
     if n < 16:
         raise ValueError(f"basin resolution must be at least 16, got {n}")

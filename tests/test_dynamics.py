@@ -9,7 +9,7 @@ import pytest
 
 from roylab import dynamics
 from roylab.model import Composition, ModelParams, make_params
-from roylab.equilibrium import _flow_jacobian, _groups, enumerate_equilibria
+from roylab.equilibrium import _census, _flow_jacobian, _groups, enumerate_equilibria
 from roylab.dynamics import (
     basins,
     flow,
@@ -242,11 +242,46 @@ def settle_outcome(params, start):
     return traj.states
 
 
+def test_cap_takes_its_limit_where_the_raw_speed_is_infinite():
+    # v / (1 + (|v| + stiffness) / V_CAP) tends to V_CAP * v / |v|; finite
+    # speeds keep the product's bits, and NaN or an infinite stiffness keep
+    # inf * 0 = NaN
+    groups = _groups(large_beta_params(60))
+    inf, nan, cap = np.inf, np.nan, dynamics.V_CAP
+    x = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.25, 0.0])
+    y = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.3])
+    vx = np.array([inf, -inf, inf, nan, 1.5, -2.0, inf])
+    vy = np.array([9.3e39, inf, -inf, inf, -3.0, 0.25, 9.3e39])
+    stiffness = groups[0].stiffness(x) + groups[1].stiffness(y)
+    scale = 1.0 / (1.0 + (np.hypot(vx[4:6], vy[4:6]) + stiffness[4:6]) / cap)
+    half = cap / np.sqrt(2.0)
+    want_x = [cap, -half, half, nan, *(vx[4:6] * scale), cap]
+    want_y = [0.0, half, -half, nan, *(vy[4:6] * scale), 0.0]
+    with np.errstate(all="ignore"):
+        kx, ky = dynamics._cap(groups, x, y, vx, vy)
+    for got, want in ((kx, want_x), (ky, want_y)):
+        # NaN's sign bit is the hardware's
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(bits(np.nan_to_num(got)), bits(np.nan_to_num(want)))
+    for k in range(x.size):
+        point = dynamics._point_cap(groups, float(x[k]), float(y[k]), float(vx[k]), float(vy[k]))
+        assert all(type(v) is float for v in point)
+        assert np.array_equal(bits(np.nan_to_num(point)), bits(np.nan_to_num([kx[k], ky[k]]))), k
+    # at beta = 200 the stiffness overflows near a wall
+    stiff = _groups(large_beta_params(200))
+    with np.errstate(all="ignore"):
+        assert np.isinf(stiff[0].stiffness(np.array([0.01])))
+        kx, ky = dynamics._cap(stiff, np.array([0.01]), np.array([0.5]), np.array([inf]), np.array([1.0]))
+    assert np.isnan(kx[0]) and ky[0] == 0.0
+
+
 @pytest.mark.parametrize("beta", [55, 60, 80, 200])
 def test_float_settle_matches_numpy_at_large_beta(beta, monkeypatch):
-    # (x(1 - x)) ** beta underflows to 0 at the face offset, and beyond
-    # beta = 153 u ** -(beta + 1) overflows in the stiffness; Python floats
-    # raise there, where numpy gives the inf that ends the settle
+    # (x(1 - x)) ** beta underflows to 0 at the face offset, so the raw
+    # field there is infinite and the capped one takes its limit; beyond
+    # beta = 153 u ** -(beta + 1) overflows in the stiffness too, and the
+    # settle ends on the non-finite step. Python floats raise where numpy
+    # gives inf
     p = large_beta_params(beta)
     starts = ((0.0, 0.3), (1e-7, 0.5), (1.0, 1.0), (0.5, 0.5))
     got = [settle_outcome(p, start) for start in starts]
@@ -261,7 +296,13 @@ def test_float_settle_matches_numpy_at_large_beta(beta, monkeypatch):
             assert np.array_equal(g, w), start
         else:
             assert g == w, start
-    assert want[0] == ("non-finite state after step 1", (0.0, 0.3))
+    if beta > 153:
+        assert want[0] == ("non-finite state after step 1", (0.0, 0.3))
+    else:
+        # every start on or next to a face moves off it and settles at (0.5, 0.5)
+        for w in want:
+            assert np.max(np.abs(w[-1] - 0.5)) < 1e-13
+        assert want[0][1, 0] > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +453,38 @@ def test_capture_labels_match_the_full_settle(config, n):
     assert_capture_matches_full_settle(config_params(config.stem), n)
 
 
+def lattice_terminals(params, n, t_end):
+    """Where the full settle leaves each cell of basins' lattice at t_end."""
+    centers = (np.arange(n) + 0.5) / n
+    gx, gy = np.meshgrid(centers, centers, indexing="ij")
+    tx, ty, _ = dynamics._integrate_batch(params, gx.ravel(), gy.ravel(), t_end, 0.01)
+    return tx, ty
+
+
 @pytest.mark.parametrize("t_end", [0.5, 5.0, 12.0])
 @pytest.mark.parametrize("name", ["fig4-rescaled", "fig5-left"])
 def test_capture_keeps_the_labels_of_a_short_settle(name, t_end):
-    # a cell that the full settle leaves at -1 when t_end cuts it off is
-    # never captured, and a captured one keeps its label at any t_end
-    want = assert_capture_matches_full_settle(config_params(name), 32, t_end=t_end)
+    # every cell that the full settle labels keeps its label; every other
+    # labelled cell entered a trap of that label, which the full settle
+    # never leaves, so it ends the short settle there
+    p = config_params(name)
+    eqs = enumerate_equilibria(p)
+    want = full_settle_basins(p, 32, equilibria=eqs, t_end=t_end).labels.ravel()
+    got = basins(p, 32, equilibria=eqs, t_end=t_end).labels.ravel()
+    settled = want != -1
+    assert np.array_equal(got[settled], want[settled]), np.flatnonzero(got[settled] != want[settled])
+    tx, ty = lattice_terminals(p, 32, t_end)
+    traps = dynamics._traps(p, eqs)
+    for k in np.flatnonzero(~settled & (got != -1)):
+        eq = eqs[got[k]].comp
+        assert any(
+            x1 <= tx[k] <= x2 and y1 <= ty[k] <= y2 and (ex, ey) == (eq.r_w, eq.r_m)
+            for x1, x2, y1, y2, ex, ey in traps
+        ), k
     if t_end < 12.0:
         assert (want == -1).sum() > 900
+        # the traps label cells that t_end cuts off
+        assert (got == -1).sum() < (want == -1).sum()
 
 
 CAPTURE_BETAS = (0.05, 0.5, 1.0, 1.5, 2.0)
@@ -467,13 +532,34 @@ def trap_cases():
     return cases + [make_params(**SEVENTEEN), make_params(mu_w=0.8, **FAT_TAILS)] + CAPTURE_DRAWS
 
 
-def test_every_trap_lies_within_snap_radius_of_its_equilibrium():
+def assert_certified(params, kind, box):
+    """The trap certificate, restated on flow: strict inflow at the order
+    corners of a box, or along a face segment at both ends with the clamped
+    component at rest."""
+    x1, x2, y1, y2 = box
+    for lo, hi in ((x1, x2), (y1, y2)):
+        assert lo == hi or dynamics._FACE_OFFSET <= lo < hi <= 1.0 - dynamics._FACE_OFFSET
+    if kind == "interior":
+        low, high = flow(params, Composition(x1, y2)), flow(params, Composition(x2, y1))
+        assert low[0] > 0.0 > low[1] and high[0] < 0.0 < high[1], box
+    else:
+        free = 1 if x1 == x2 else 0
+        low, high = flow(params, Composition(x1, y1)), flow(params, Composition(x2, y2))
+        assert low[1 - free] == 0.0 == high[1 - free], box
+        assert low[free] > 0.0 > high[free], box
+
+
+def test_every_trap_is_certified_and_holds_its_equilibrium_alone():
     count = 0
     for p in trap_cases():
-        for x1, x2, y1, y2, ex, ey in dynamics._traps(p, enumerate_equilibria(p)):
+        eqs = enumerate_equilibria(p)
+        for x1, x2, y1, y2, ex, ey in dynamics._traps(p, eqs):
+            (eq,) = [e for e in eqs if (e.comp.r_w, e.comp.r_m) == (ex, ey)]
             assert x1 <= ex <= x2 and y1 <= ey <= y2
-            assert max(ex - x1, x2 - ex, ey - y1, y2 - ey) < dynamics.SNAP_RADIUS
             assert 0.0 <= min(x1, y1) and max(x2, y2) <= 1.0
+            assert_certified(p, eq.kind, (x1, x2, y1, y2))
+            assert [q[:2] for q in _census(p, box=((x1, x2), (y1, y2)))] == [(ex, ey)]
+            assert [e for e in eqs if x1 <= e.comp.r_w <= x2 and y1 <= e.comp.r_m <= y2] == [eq]
             count += 1
     assert count >= 40
 
@@ -481,7 +567,7 @@ def test_every_trap_lies_within_snap_radius_of_its_equilibrium():
 def rest_point_boxes(params, eq):
     """Boxes around an interior rest point: the Jacobian's aspect and eight decades around 1."""
     j = _flow_jacobian(params, eq.comp.r_w, eq.comp.r_m)
-    r = dynamics._TRAP_RADIUS
+    r = dynamics._TRAP_START
     for ratio in [dynamics._aspect(*j), *np.logspace(-4, 4, 17)]:
         rx, ry = (r, ratio * r) if ratio <= 1.0 else (r / ratio, r)
         yield eq.comp.r_w - rx, eq.comp.r_w + rx, eq.comp.r_m - ry, eq.comp.r_m + ry
@@ -514,14 +600,48 @@ def test_a_box_whose_corners_rest_is_not_certified():
     assert not dynamics._box_traps(groups, 0.0, 0.0, 1.0, 1.0)
 
 
-def test_equilibria_closer_than_the_guard_get_no_trap(fat_unique):
+def test_no_trap_contains_another_equilibrium(fat_unique):
     p, (only,) = fat_unique
     assert len(dynamics._traps(p, [only])) == 1
-    for gap, traps in ((3.0, 0), (5.0, 1)):
+    for gap in (3.0, 5.0, 30.0, 300.0):
         near = dataclasses.replace(
             only,
-            comp=Composition(only.comp.r_w + gap * dynamics.SNAP_RADIUS, only.comp.r_m),
+            comp=Composition(only.comp.r_w - gap * dynamics.SNAP_RADIUS, only.comp.r_m),
             stability="saddle",
         )
-        assert len(dynamics._traps(p, [only, near])) == traps, gap
+        ((x1, x2, y1, y2, *_),) = dynamics._traps(p, [only, near])
+        assert not (x1 <= near.comp.r_w <= x2 and y1 <= near.comp.r_m <= y2), gap
     assert len(dynamics._traps(p, [only, dataclasses.replace(only)])) == 0
+
+
+@pytest.mark.parametrize("certificate", ["corner test", "any box"])
+@pytest.mark.parametrize("name", ["fig4-rescaled", "fig5-left"])
+def test_a_partial_list_of_equilibria_keeps_the_others_out_of_the_traps(name, certificate, monkeypatch):
+    # the box census, not the list, has the last word: with the saddles left
+    # out, every trap still holds one equilibrium, even where a box that
+    # passes any corner test grows over a saddle (fig5-left)
+    p = config_params(name)
+    eqs = enumerate_equilibria(p)
+    if certificate == "any box":
+        monkeypatch.setattr(dynamics, "_box_traps", lambda groups, *box: True)
+    stable = [e for e in eqs if e.stability in ("stable", "boundary-stable")]
+    traps = dynamics._traps(p, stable)
+    if certificate == "corner test":
+        assert len(traps) == len(dynamics._traps(p, eqs)) >= 2
+    for x1, x2, y1, y2, ex, ey in traps:
+        inside = [e.comp for e in eqs if x1 <= e.comp.r_w <= x2 and y1 <= e.comp.r_m <= y2]
+        assert inside == [Composition(ex, ey)]
+
+
+# a stiff stable node (eigenvalues -12.4 and -6,775), the model's only
+# equilibrium: the full settle leaves its cells up to 3.7e-3 from it after
+# t_end = 500, outside SNAP_RADIUS
+STIFF_NODE = dict(mu_w=0.7938, c_w=1.4968, c_m=0.0913, beta=1.5, re_w=0.8451, re_m=0.2713)
+
+
+def test_the_stiff_node_traps_the_cells_where_they_stall():
+    p = make_params(**STIFF_NODE)
+    eqs = enumerate_equilibria(p)
+    assert [(e.kind, e.stability) for e in eqs] == [("interior", "stable")]
+    ((x1, x2, y1, y2, ex, ey),) = dynamics._traps(p, eqs)
+    assert min(ex - x1, x2 - ex, ey - y1, y2 - ey) > 3.7e-3
